@@ -108,7 +108,7 @@ int main() {
               "flagged");
 
   // Before: the pre-snapshot farm — every job cold-boots (and zeroes) its
-  // own 64 MiB record and replay guests.
+  // own 64 MiB guest.
   Sweep cold = run_point(1, /*snapshot=*/false);
   if (cold.failed) return 1;
   print_row("cold", 1, cold.metrics);

@@ -31,12 +31,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
-#include <thread>
 
 #include "attacks/guest_common.h"
 #include "bench_util.h"
 #include "core/engine.h"
-#include "core/pipeline.h"
 #include "core/rules.h"
 #include "os/machine.h"
 #include "sa/analyzer.h"
@@ -291,11 +289,6 @@ struct Regime {
   // of the spinner; `hints` feeds the analyzer's elide hints to the engine.
   bool divspin = false;
   bool hints = false;
-  // Decoupled producer/consumer pipeline (core/pipeline.h) instead of the
-  // inline engine: the interpreter thread emits trace records, a worker
-  // thread propagates. Timed samples include the drain, so the figure is
-  // end-to-end (execute + propagate), directly comparable to sync rows.
-  bool async = false;
 };
 
 /// A ruleset binding every trigger with predicates that evaluate but never
@@ -346,16 +339,7 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
     }
   }
   std::unique_ptr<core::FarosEngine> engine;
-  std::unique_ptr<core::DiftPipeline> pipe;
-  if (r.attach_engine && r.async) {
-    size_t cap = vm::TraceRing::kDefaultCapacity;
-    if (const char* env = std::getenv("FAROS_RING_CAP")) {
-      cap = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-    }
-    pipe = std::make_unique<core::DiftPipeline>(m.kernel(), opts, cap);
-    m.attach_cpu_plugin(pipe.get());
-    m.add_monitor(pipe.get());
-  } else if (r.attach_engine) {
+  if (r.attach_engine) {
     engine = std::make_unique<core::FarosEngine>(m.kernel(), opts);
     m.attach_cpu_plugin(engine.get());
     m.add_monitor(engine.get());
@@ -364,41 +348,23 @@ RegimeRun run_regime(const Regime& r, u64 insns) {
   if (r.copier) {
     CopierInfo copier = setup_copier(m);
     m.run(1000);
-    if (pipe) taint_copier_buf(m, *pipe, copier);
-    else if (engine) taint_copier_buf(m, *engine, copier);
+    if (engine) taint_copier_buf(m, *engine, copier);
   } else if (r.divspin) {
     setup_divspinner(m, divspin_img);
   } else {
     setup_spinner(m);
   }
   m.run(insns / 10);  // warm-up
-  if (pipe) pipe->drain();
   RegimeRun out;
   // Median of five fixed-work samples: each sample runs exactly `insns`
   // instructions of the steady-state loop, so one scheduler hiccup or page
-  // of cold cache skews a single sample, not the reported figure. Async
-  // samples drain the ring inside the timed region: the number reported is
-  // executed *and* propagated instructions.
+  // of cold cache skews a single sample, not the reported figure.
   double samples[5];
-  for (double& s : samples) {
-    s = bench::time_s([&] {
-      m.run(insns);
-      if (pipe) pipe->drain();
-    });
-  }
+  for (double& s : samples) s = bench::time_s([&] { m.run(insns); });
   std::sort(std::begin(samples), std::end(samples));
   out.seconds = samples[2];
   if (r.attach_engine) {
-    out.metrics = pipe ? pipe->metrics_snapshot() : engine->metrics_snapshot();
-    if (pipe && std::getenv("FAROS_BENCH_RING_STATS")) {
-      const vm::TraceRingStats rs = pipe->ring_stats();
-      std::fprintf(stderr,
-                   "[%s] ring: records=%llu stalls=%llu waits=%llu depth=%llu\n",
-                   r.name, static_cast<unsigned long long>(rs.records),
-                   static_cast<unsigned long long>(rs.producer_stalls),
-                   static_cast<unsigned long long>(rs.consumer_waits),
-                   static_cast<unsigned long long>(rs.max_depth));
-    }
+    out.metrics = engine->metrics_snapshot();
     if (const vm::BlockCache* btc = m.kernel().interp().block_cache()) {
       const vm::BlockCacheStats& bs = btc->stats();
       out.metrics.counters[static_cast<u32>(obs::Ctr::kBtTranslate)] +=
@@ -467,21 +433,6 @@ bool emit_json_summary() {
       {"interp_faros_divspin_btc_hints", true, false, false,
        /*metrics=*/true, /*rules_json=*/nullptr, /*block_cache=*/true,
        /*divspin=*/true, /*hints=*/true},
-      // Decoupled pipeline (the production default): the same three
-      // block-cached workloads with propagation on a consumer thread and
-      // the drain included in the timed region. Compare each _async row
-      // against its _btc twin: clean/image-tainted price the record-emit
-      // overhead; tainted-copy is where the overlap pays — heavy per-byte
-      // propagation runs concurrently with execution.
-      {"interp_faros_clean_async", true, true, false, /*metrics=*/true,
-       /*rules_json=*/nullptr, /*block_cache=*/true, /*divspin=*/false,
-       /*hints=*/false, /*async=*/true},
-      {"interp_faros_image_tainted_async", true, false, false,
-       /*metrics=*/true, /*rules_json=*/nullptr, /*block_cache=*/true,
-       /*divspin=*/false, /*hints=*/false, /*async=*/true},
-      {"interp_faros_tainted_copy_async", true, false, true,
-       /*metrics=*/true, /*rules_json=*/nullptr, /*block_cache=*/true,
-       /*divspin=*/false, /*hints=*/false, /*async=*/true},
   };
   std::map<std::string, double> ns_by_case;
   std::map<std::string, u64> elided_by_case;
@@ -546,35 +497,6 @@ bool emit_json_summary() {
                  "(%llu <= %llu elided insns)\n",
                  static_cast<unsigned long long>(hint_elided),
                  static_cast<unsigned long long>(inert_elided));
-    return false;
-  }
-  // Async-pipeline gate, on the propagation-heavy regime where decoupling
-  // must pay for itself. The ceiling is topology-aware: with two or more
-  // hardware threads, executing while the consumer thread propagates has
-  // to beat running both phases inline (<1x demands a real improvement
-  // while absorbing timer noise). On a single hardware thread the two
-  // pipeline stages time-slice one core, so decoupling cannot win by
-  // construction — there the gate instead bounds the overhead of the
-  // split (ring transfer + scheduling + cache refill after each time
-  // slice), which still catches pathologies like producer-side window
-  // recapture storms (2x+ before the exact-overlap invalidation fix).
-  const double copy_async_x = ns_by_case["interp_faros_tainted_copy_async"] /
-                              ns_by_case["interp_faros_tainted_copy_btc"];
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool parallel_hw = hw >= 2;
-  const double async_ceiling = parallel_hw ? 0.95 : 1.35;
-  std::printf(
-      "async-pipeline gate: tainted-copy %.2fx of sync "
-      "(ceiling %.2fx, %u hw thread%s)\n",
-      copy_async_x, async_ceiling, hw, hw == 1 ? "" : "s");
-  if (copy_async_x > async_ceiling) {
-    std::fprintf(stderr,
-                 parallel_hw
-                     ? "FAIL: async tainted-copy did not improve on the "
-                       "inline engine (%.2fx > %.2fx)\n"
-                     : "FAIL: async tainted-copy overhead on one hw thread "
-                       "exceeded the ceiling (%.2fx > %.2fx)\n",
-                 copy_async_x, async_ceiling);
     return false;
   }
   return true;

@@ -78,52 +78,12 @@ ProvListId FarosEngine::with_process(ProvListId id, PAddr cr3,
 
 void FarosEngine::on_insn_retired(const vm::InsnEvent& ev,
                                   const vm::AddressSpace& as) {
-  // Synchronous mode: resolve the InsnEvent into the same fixed-width
-  // record the async producer emits, then run the shared propagation path
-  // inline. live_as_ lets the shared path read page flags and capture
-  // finding windows directly instead of from pre-resolved record fields.
-  vm::DiftEvent d;
-  d.instr_index = ev.instr_index;
-  d.cr3 = ev.cr3;
-  d.pc = ev.pc;
-  d.pc_pa = ev.pc_pa;
-  d.op = static_cast<u8>(ev.insn.op);
-  d.rd = ev.insn.rd;
-  d.rs1 = ev.insn.rs1;
-  d.rs2 = ev.insn.rs2;
-  d.imm = ev.insn.imm;
-  if (ev.mem) {
-    d.flags |= vm::DiftEvent::kHasMem;
-    if (ev.mem->is_write) d.flags |= vm::DiftEvent::kIsWrite;
-    d.mem_va = ev.mem->va;
-    d.mem_pa = ev.mem->pa;
-    d.mem_size = ev.mem->size;
-    const u32 off = ev.mem->va & ShadowMemory::kPageMask;
-    if (off + ev.mem->size > ShadowMemory::kPageBytes) {
-      // The access straddles a page; pre-resolve the second page's base.
-      // The access itself already translated every byte, so this cannot
-      // fault — but if it somehow did, the propagation loop skips the
-      // second-page bytes, exactly as the historical per-byte translate
-      // `continue` did.
-      auto t = as.translate(ev.mem->va + (ShadowMemory::kPageBytes - off),
-                            ev.mem->is_write ? AccessType::kWrite
-                                             : AccessType::kRead,
-                            false);
-      if (t) {
-        d.mem_pa2 = *t;
-        d.flags |= vm::DiftEvent::kCrossesPage;
-      }
-    }
-  }
-  live_as_ = &as;
-  propagate(d);
-  live_as_ = nullptr;
-}
-
-void FarosEngine::propagate(const vm::DiftEvent& d) {
   ++stats_.insns_seen;
-  const Opcode op = static_cast<Opcode>(d.op);
-  ShadowRegisters& sr = sregs(d.cr3);
+  const Opcode op = ev.insn.op;
+  const u8 rd = ev.insn.rd;
+  const u8 rs1 = ev.insn.rs1;
+  const u8 rs2 = ev.insn.rs2;
+  ShadowRegisters& sr = sregs(ev.cr3);
 
   // Instruction fetch is a memory access by this process: append its tag to
   // any tainted instruction bytes, and collect their provenance — the
@@ -140,31 +100,31 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
   //    process-tag writebacks) and then caches against the post-writeback
   //    stamp, so a hit implies the loop would have no side effects.
   ProvListId fetch = kEmptyProv;
-  if (shadow_.range_tainted(d.pc_pa, vm::kInsnSize)) {
+  if (shadow_.range_tainted(ev.pc_pa, vm::kInsnSize)) {
     const bool cacheable =
-        (d.pc_pa & ShadowMemory::kPageMask) + vm::kInsnSize <=
+        (ev.pc_pa & ShadowMemory::kPageMask) + vm::kInsnSize <=
         ShadowMemory::kPageBytes;
     FetchCacheEntry& entry =
-        fetch_cache_[(d.pc_pa / vm::kInsnSize) & kFetchCacheMask];
-    u64 version = cacheable ? shadow_.page_version(d.pc_pa) : 0;
-    if (cacheable && entry.pc_pa == d.pc_pa && entry.cr3 == d.cr3 &&
+        fetch_cache_[(ev.pc_pa / vm::kInsnSize) & kFetchCacheMask];
+    u64 version = cacheable ? shadow_.page_version(ev.pc_pa) : 0;
+    if (cacheable && entry.pc_pa == ev.pc_pa && entry.cr3 == ev.cr3 &&
         entry.version == version && version != 0) {
       fetch = entry.result;
       fetch_hit_.inc();
     } else {
       fetch_miss_.inc();
       for (u32 i = 0; i < vm::kInsnSize; ++i) {
-        ProvListId id = shadow_.get(d.pc_pa + i);
+        ProvListId id = shadow_.get(ev.pc_pa + i);
         if (id != kEmptyProv) {
-          ProvListId id2 = with_process(id, d.cr3, false);
-          if (id2 != id) shadow_.set(d.pc_pa + i, id2);
+          ProvListId id2 = with_process(id, ev.cr3, false);
+          if (id2 != id) shadow_.set(ev.pc_pa + i, id2);
           fetch = store_.merge(fetch, id2);
         }
       }
       if (cacheable) {
-        entry.pc_pa = d.pc_pa;
-        entry.cr3 = d.cr3;
-        entry.version = shadow_.page_version(d.pc_pa);  // post-writeback
+        entry.pc_pa = ev.pc_pa;
+        entry.cr3 = ev.cr3;
+        entry.version = shadow_.page_version(ev.pc_pa);  // post-writeback
         entry.result = fetch;
       }
     }
@@ -176,38 +136,53 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
     if (rule_engine_.has_rules(Trigger::kTaintedFetch)) {
       RuleInputs in;
       in.fetch = fetch;
-      run_trigger(Trigger::kTaintedFetch, d, in);
+      run_trigger(Trigger::kTaintedFetch, ev, as, in);
     }
   }
 
   auto alu3 = [&]() {
-    if ((op == Opcode::kXor || op == Opcode::kSub) && d.rs1 == d.rs2) {
-      sr.clear_reg(d.rd);  // zero idiom: delete rule
+    if ((op == Opcode::kXor || op == Opcode::kSub) && rs1 == rs2) {
+      sr.clear_reg(rd);  // zero idiom: delete rule
       return;
     }
-    ProvListId u = store_.merge(sr.reg_union(d.rs1, store_),
-                                sr.reg_union(d.rs2, store_));
-    sr.set_all(d.rd, u);
+    ProvListId u = store_.merge(sr.reg_union(rs1, store_),
+                                sr.reg_union(rs2, store_));
+    sr.set_all(rd, u);
   };
   auto alu_imm = [&]() {
-    sr.set_all(d.rd, sr.reg_union(d.rs1, store_));
+    sr.set_all(rd, sr.reg_union(rs1, store_));
   };
 
-  const bool has_mem = (d.flags & vm::DiftEvent::kHasMem) != 0;
+  const vm::MemAccess* mem = ev.mem ? &*ev.mem : nullptr;
+  const bool has_mem = mem != nullptr;
 
-  // Physical address of byte `i` of the access, from the pre-resolved
-  // page bases: offsets survive translation, so every byte on the first
-  // page is mem_pa + i and every byte past the boundary is at the same
-  // offset from mem_pa2. Returns false for a second-page byte with no
-  // resolved base — the case the historical per-byte translate skipped.
+  // An access that straddles a page needs the second page's base. The
+  // access itself already translated every byte, so this cannot fault —
+  // but if it somehow did, the propagation loops skip the second-page
+  // bytes.
+  std::optional<PAddr> mem_pa2;
+  if (mem) {
+    const u32 off = mem->va & ShadowMemory::kPageMask;
+    if (off + mem->size > ShadowMemory::kPageBytes) {
+      mem_pa2 = as.translate(mem->va + (ShadowMemory::kPageBytes - off),
+                             mem->is_write ? AccessType::kWrite
+                                           : AccessType::kRead,
+                             false);
+    }
+  }
+
+  // Physical address of byte `i` of the access: offsets survive
+  // translation, so every byte on the first page is mem->pa + i and every
+  // byte past the boundary is at the same offset from the second page's
+  // base. Returns false for a second-page byte with no resolved base.
   auto byte_pa = [&](u32 i, PAddr* pa) {
-    const u32 off = (d.mem_va & ShadowMemory::kPageMask) + i;
+    const u32 off = (mem->va & ShadowMemory::kPageMask) + i;
     if (off < ShadowMemory::kPageBytes) {
-      *pa = d.mem_pa + i;
+      *pa = mem->pa + i;
       return true;
     }
-    if (d.flags & vm::DiftEvent::kCrossesPage) {
-      *pa = d.mem_pa2 + (off - ShadowMemory::kPageBytes);
+    if (mem_pa2) {
+      *pa = *mem_pa2 + (off - ShadowMemory::kPageBytes);
       return true;
     }
     return false;
@@ -219,15 +194,15 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
   // shadow read would return empty and every shadow write of an empty id
   // would be a no-op.
   auto same_clean_page = [&](u32 size) {
-    return (d.mem_pa & ShadowMemory::kPageMask) + size <=
+    return (mem->pa & ShadowMemory::kPageMask) + size <=
                ShadowMemory::kPageBytes &&
-           !shadow_.page_tainted(d.mem_pa);
+           !shadow_.page_tainted(mem->pa);
   };
 
   auto handle_load = [&](u8 dst_reg, u8 base_reg) {
     ++stats_.loads;
     if (!has_mem) return;
-    const u32 size = d.mem_size;
+    const u32 size = mem->size;
     ProvListId addr_u = opts_.propagate_address_deps
                             ? sr.reg_union(base_reg, store_)
                             : kEmptyProv;
@@ -246,7 +221,7 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
       if (!byte_pa(i, &pa)) continue;
       ProvListId id = shadow_.get(pa);
       if (id != kEmptyProv) {
-        ProvListId id2 = with_process(id, d.cr3, false);
+        ProvListId id2 = with_process(id, ev.cr3, false);
         if (id2 != id) shadow_.set(pa, id2);
         id = id2;
       }
@@ -270,7 +245,7 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
           // dependency. Computed only when a rule will look at it.
           in.value = store_.merge(target_union, addr_u);
         }
-        run_trigger(Trigger::kTaintedLoad, d, in);
+        run_trigger(Trigger::kTaintedLoad, ev, as, in);
       }
     }
   };
@@ -278,7 +253,7 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
   auto handle_store = [&](u8 src_reg, u8 base_reg) {
     ++stats_.stores;
     if (!has_mem) return;
-    const u32 size = d.mem_size;
+    const u32 size = mem->size;
     ProvListId addr_u = opts_.propagate_address_deps
                             ? sr.reg_union(base_reg, store_)
                             : kEmptyProv;
@@ -296,10 +271,6 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
       // check, now a built-in spec). Inputs are computed lazily: the value
       // merge only when some rule is bound, the page-flag probe and the
       // pre-write target union only when a bound rule will look at them.
-      // In sync mode the page flags come from the live address space; the
-      // async producer pre-resolved them into the record (for at least
-      // every store its conservative filter considered maybe-tainted — a
-      // superset of the stores that reach this point).
       const bool store_rules =
           rule_engine_.has_rules(Trigger::kTaintedStore);
       const bool exec_rules =
@@ -309,10 +280,7 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
         bool page_exec = false;
         if (exec_rules ||
             rule_engine_.needs_page_flags(Trigger::kTaintedStore)) {
-          page_exec =
-              live_as_
-                  ? (live_as_->page_flags(d.mem_va) & vm::kPteExec) != 0
-                  : (d.flags & vm::DiftEvent::kPageExec) != 0;
+          page_exec = (as.page_flags(mem->va) & vm::kPteExec) != 0;
         }
         if (store_rules) {
           RuleInputs in;
@@ -324,7 +292,7 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
             if (!byte_pa(i, &pa)) continue;
             in.target = store_.merge(in.target, shadow_.get(pa));
           }
-          run_trigger(Trigger::kTaintedStore, d, in);
+          run_trigger(Trigger::kTaintedStore, ev, as, in);
         }
         if (exec_rules && page_exec) {
           RuleInputs in;
@@ -333,7 +301,7 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
           in.target = val;
           in.value = val;
           in.page_exec = true;
-          run_trigger(Trigger::kExecPageWrite, d, in);
+          run_trigger(Trigger::kExecPageWrite, ev, as, in);
         }
       }
     }
@@ -342,7 +310,7 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
       if (!byte_pa(i, &pa)) continue;
       ProvListId id = store_.merge(sr.get(src_reg, static_cast<u8>(i)),
                                    addr_u);
-      id = with_process(id, d.cr3, false);
+      id = with_process(id, ev.cr3, false);
       shadow_.set(pa, id);  // copy rule; empty clears stale taint
     }
   };
@@ -350,10 +318,10 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
   switch (op) {
     case Opcode::kMovi:
     case Opcode::kAddPc:
-      sr.clear_reg(d.rd);  // constants carry no provenance (delete rule)
+      sr.clear_reg(rd);  // constants carry no provenance (delete rule)
       break;
     case Opcode::kMov:
-      for (u8 b = 0; b < 4; ++b) sr.set(d.rd, b, sr.get(d.rs1, b));
+      for (u8 b = 0; b < 4; ++b) sr.set(rd, b, sr.get(rs1, b));
       break;
 
     case Opcode::kAdd:
@@ -382,19 +350,19 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
     case Opcode::kLd8:
     case Opcode::kLd16:
     case Opcode::kLd32:
-      handle_load(d.rd, d.rs1);
+      handle_load(rd, rs1);
       break;
     case Opcode::kPop:
-      handle_load(d.rd, vm::SP);
+      handle_load(rd, vm::SP);
       break;
 
     case Opcode::kSt8:
     case Opcode::kSt16:
     case Opcode::kSt32:
-      handle_store(d.rs2, d.rs1);
+      handle_store(rs2, rs1);
       break;
     case Opcode::kPush:
-      handle_store(d.rs1, vm::SP);
+      handle_store(rs1, vm::SP);
       break;
 
     case Opcode::kCall:
@@ -416,7 +384,7 @@ void FarosEngine::propagate(const vm::DiftEvent& d) {
           in.fetch = fetch;
           in.target = args;
           in.value = args;
-          run_trigger(Trigger::kSyscallArg, d, in);
+          run_trigger(Trigger::kSyscallArg, ev, as, in);
         }
       }
       sr.clear_reg(vm::R0);  // result produced by the (native) kernel
@@ -502,25 +470,6 @@ bool FarosEngine::try_elide_block(PAddr cr3, VAddr pc, PAddr start_pa,
   return true;
 }
 
-// Consumer half of a kBulk record. The producer approves elision only when
-// its conservative filter proves the register bank clean AND (no fetch
-// rules are bound, or the block's frame was never maybe-tainted) — both
-// strictly stronger than the dynamic guard above, so accounting here can
-// never face the "would have declined" case. The walk still runs so the
-// memoized one-time writebacks and the tainted-fetch stat stay identical
-// to what try_elide_block would have produced.
-void FarosEngine::account_elided(PAddr cr3, PAddr start_pa, u32 count) {
-  u32 tainted_insns = block_tainted_fetches(cr3, start_pa, count);
-  stats_.insns_seen += count;
-  stats_.tainted_fetches += tainted_insns;
-  stats_.elided_insns += count;
-}
-
-void FarosEngine::set_window(PAddr cr3, VAddr pc, VAddr code_base,
-                             Bytes bytes) {
-  windows_[{cr3, pc}] = {code_base, std::move(bytes)};
-}
-
 // Static summary hint check (vm/cpu.h). A hint is trusted only when the
 // freshly translated instruction sequence matches its recorded length and
 // content hash, so a proof can never be applied to bytes that changed
@@ -546,16 +495,17 @@ bool FarosEngine::block_elide_hint(PAddr cr3, VAddr pc,
   return false;
 }
 
-void FarosEngine::run_trigger(Trigger t, const vm::DiftEvent& d,
+void FarosEngine::run_trigger(Trigger t, const vm::InsnEvent& ev,
+                              const vm::AddressSpace& as,
                               const RuleInputs& in) {
   stats_.policy_evals += rule_engine_.dispatch(t, store_, in, matched_);
-  for (u32 idx : matched_) record_finding(idx, d, in);
+  for (u32 idx : matched_) record_finding(idx, ev, as, in);
 }
 
-void FarosEngine::record_finding(u32 rule_idx, const vm::DiftEvent& d,
+void FarosEngine::record_finding(u32 rule_idx, const vm::InsnEvent& ev,
+                                 const vm::AddressSpace& as,
                                  const RuleInputs& in) {
-  auto site = std::make_tuple(static_cast<PAddr>(d.cr3),
-                              static_cast<VAddr>(d.pc), rule_idx);
+  auto site = std::make_tuple(ev.cr3, ev.pc, rule_idx);
   if (flagged_sites_.count(site) != 0) return;
   // At the cap the site is deliberately NOT marked: the cap bounds what is
   // recorded, never which sites are eligible.
@@ -563,66 +513,36 @@ void FarosEngine::record_finding(u32 rule_idx, const vm::DiftEvent& d,
 
   Finding f;
   f.policy = rule_engine_.rule_id(rule_idx);
-  f.instr_index = d.instr_index;
-  // Process identity. The event-sourced map is populated by
-  // on_process_start and erased at exit, so a hit carries exactly what an
-  // alive-only OSI query would return — and findings only fire while the
-  // flagged process is executing, i.e. alive. The direct OSI query remains
-  // for synchronous monitor-less use (unit tests driving the hook by hand);
-  // the consumer thread must never query the kernel, which the producer
-  // thread is mutating.
-  auto pit = proc_info_map_.find(d.cr3);
-  if (pit != proc_info_map_.end()) {
-    f.proc = pit->second;
-  } else if (live_as_) {
-    if (auto info = osi_.process_by_cr3(d.cr3)) {
-      f.proc = *info;
-    } else {
-      f.proc.cr3 = d.cr3;
-      f.proc.name = "<unknown>";
-    }
+  f.instr_index = ev.instr_index;
+  if (auto info = osi_.process_by_cr3(ev.cr3)) {
+    f.proc = *info;
   } else {
-    f.proc.cr3 = d.cr3;
+    f.proc.cr3 = ev.cr3;
     f.proc.name = "<unknown>";
   }
-  f.insn_va = d.pc;
-  f.insn_pa = d.pc_pa;
-  vm::Instruction insn{static_cast<Opcode>(d.op), d.rd, d.rs1, d.rs2, d.imm};
-  f.disasm = vm::disassemble(insn);
-  f.target_va = (d.flags & vm::DiftEvent::kHasMem) ? d.mem_va : 0;
+  f.insn_va = ev.pc;
+  f.insn_pa = ev.pc_pa;
+  f.disasm = vm::disassemble(ev.insn);
+  f.target_va = ev.mem ? ev.mem->va : 0;
   f.fetch_prov = in.fetch;
   f.target_prov = in.target;
   f.whitelisted = opts_.whitelist.count(f.proc.name) != 0;
   f.warn_only = rule_engine_.rule_action(rule_idx) == RuleAction::kWarn;
   // Snapshot the code around the flagged pc now: a transient payload may
-  // wipe itself before the analyst ever looks. In async mode the snapshot
-  // was taken by the producer at retirement time (the same machine moment
-  // this call observes) and stashed via set_window.
+  // wipe itself before the analyst ever looks.
   constexpr u32 kBefore = 4 * vm::kInsnSize;
   constexpr u32 kAfter = 8 * vm::kInsnSize;
-  f.code_base = d.pc >= kBefore ? d.pc - kBefore : 0;
-  if (live_as_) {
-    Bytes window(kBefore + kAfter);
-    if (live_as_->copy_out(f.code_base, window, /*user=*/false).ok()) {
-      f.code_window = std::move(window);
-    } else {
-      // Window ran off the mapped region; fall back to just the insn.
-      Bytes small(vm::kInsnSize);
-      if (live_as_->copy_out(d.pc, small, /*user=*/false).ok()) {
-        f.code_base = d.pc;
-        f.code_window = std::move(small);
-      }
-    }
+  f.code_base = ev.pc >= kBefore ? ev.pc - kBefore : 0;
+  Bytes window(kBefore + kAfter);
+  if (as.copy_out(f.code_base, window, /*user=*/false).ok()) {
+    f.code_window = std::move(window);
   } else {
-    auto wit = windows_.find({static_cast<PAddr>(d.cr3),
-                              static_cast<VAddr>(d.pc)});
-    if (wit != windows_.end()) {
-      f.code_base = wit->second.first;
-      f.code_window = wit->second.second;
+    // Window ran off the mapped region; fall back to just the insn.
+    Bytes small(vm::kInsnSize);
+    if (as.copy_out(ev.pc, small, /*user=*/false).ok()) {
+      f.code_base = ev.pc;
+      f.code_window = std::move(small);
     }
-    // A miss means the producer's capture filter missed a finding site;
-    // the filter is a conservative superset, so this cannot happen — but
-    // degrade to the historical unmapped-window shape rather than crash.
   }
   findings_.push_back(std::move(f));
   flagged_sites_.insert(site);
@@ -645,7 +565,6 @@ void for_each_byte(const osi::GuestXfer& xfer, Fn&& fn) {
 void FarosEngine::on_process_start(const osi::ProcessInfo& p) {
   ptag_cache_[p.cr3] = maps_.process.intern(p.cr3, p.pid, p.name);
   if (last_ptag_cr3_ == p.cr3) last_ptag_valid_ = false;
-  proc_info_map_[p.cr3] = p;
 }
 
 void FarosEngine::on_process_exit(const osi::ProcessInfo& p, u32 exit_code) {
@@ -656,7 +575,6 @@ void FarosEngine::on_process_exit(const osi::ProcessInfo& p, u32 exit_code) {
   // (ProcessMap keeps the historical entry for report rendering).
   ptag_cache_.erase(p.cr3);
   if (last_ptag_cr3_ == p.cr3) last_ptag_valid_ = false;
-  proc_info_map_.erase(p.cr3);
   // A later process may reuse this CR3: drop its fetch-provenance entries
   // so the recycled identity never inherits the old process's results.
   for (FetchCacheEntry& e : fetch_cache_) {
@@ -897,6 +815,10 @@ obs::MetricSnapshot FarosEngine::metrics_snapshot() const {
   put(obs::Ctr::kTaintedFetches, stats_.tainted_fetches);
   put(obs::Ctr::kPolicyEvals, stats_.policy_evals);
   put(obs::Ctr::kBtElidedInsns, stats_.elided_insns);
+  put(obs::Ctr::kProvStoreSaturated, store_.saturated_ops());
+  put(obs::Ctr::kNetflowTagOverflow, maps_.netflow.overflowed());
+  put(obs::Ctr::kProcessTagOverflow, maps_.process.overflowed());
+  put(obs::Ctr::kFileTagOverflow, maps_.file.overflowed());
   return s;
 }
 

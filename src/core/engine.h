@@ -38,7 +38,6 @@
 #include "obs/obs.h"
 #include "os/kernel.h"
 #include "vm/cpu.h"
-#include "vm/trace_ring.h"
 
 namespace faros::core {
 
@@ -142,28 +141,6 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   bool block_elide_hint(PAddr cr3, VAddr pc, const vm::Instruction* insns,
                         u32 count) override;
 
-  // --- decoupled-pipeline consumer surface (core/pipeline.h) ---
-  // Both execution modes funnel through propagate(): the synchronous hook
-  // above resolves the InsnEvent into a trace record and calls it inline
-  // (with the live address space available for lazy page-flag reads and
-  // finding-window capture); the async pipeline calls it from a consumer
-  // thread with everything pre-resolved into the record. Table-I
-  // propagation is therefore one code path, byte-identical either way.
-
-  /// Replays one instruction record against shadow state and the rules.
-  /// Thread contract: in async use, only the consumer thread calls this,
-  /// and the producer touches the engine only while the ring is drained.
-  void propagate(const vm::DiftEvent& d);
-  /// Accounts a producer-approved elided inert block (the consumer half of
-  /// a kBulk record): runs the same block-level fetch walk try_elide_block
-  /// runs, so stats and one-time tag writebacks stay identical. Never
-  /// declines — the producer's approval rule is strictly stronger than the
-  /// guard here (see core/pipeline.h).
-  void account_elided(PAddr cr3, PAddr start_pa, u32 count);
-  /// Stores the producer-captured code window for a (cr3, pc) site, used
-  /// by record_finding when no live address space is available.
-  void set_window(PAddr cr3, VAddr pc, VAddr code_base, Bytes bytes);
-
   // osi::GuestMonitor
   void on_process_start(const osi::ProcessInfo& p) override;
   void on_process_exit(const osi::ProcessInfo& p, u32 exit_code) override;
@@ -222,10 +199,10 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
   /// The engine's metric sink (null when collect_metrics is off). Exposed
   /// so the farm can add job-phase timers to the same sink.
   obs::MetricSink* metrics() { return metrics_.get(); }
-  /// Counter snapshot with the EngineStats totals folded in (kInsnsRetired
-  /// etc. live in EngineStats; copying them at snapshot time keeps the
-  /// per-insn path free of double bookkeeping). `collected` is false when
-  /// metrics are off.
+  /// Counter snapshot with the EngineStats totals and the store/tag-map
+  /// saturation counts folded in (kInsnsRetired etc. live in EngineStats;
+  /// copying them at snapshot time keeps the per-insn path free of double
+  /// bookkeeping). `collected` is false when metrics are off.
   obs::MetricSnapshot metrics_snapshot() const;
 
   /// Provenance of a guest virtual address in `as` (analyst query).
@@ -255,28 +232,18 @@ class FarosEngine : public vm::ExecHooks, public osi::GuestMonitor {
 
   /// Evaluates the rules bound to `t` and records a Finding per matched
   /// flag/warn rule (deduped on (cr3, pc, rule), capped by max_findings).
-  void run_trigger(Trigger t, const vm::DiftEvent& d, const RuleInputs& in);
-  void record_finding(u32 rule_idx, const vm::DiftEvent& d,
-                      const RuleInputs& in);
+  void run_trigger(Trigger t, const vm::InsnEvent& ev,
+                   const vm::AddressSpace& as, const RuleInputs& in);
+  void record_finding(u32 rule_idx, const vm::InsnEvent& ev,
+                      const vm::AddressSpace& as, const RuleInputs& in);
 
-  /// Shared block-level fetch walk (try_elide_block and account_elided):
-  /// memoized count of tainted-fetch instructions in the block, replaying
-  /// the per-insn walk's one-time writebacks on first pass.
+  /// Block-level fetch walk for try_elide_block: memoized count of
+  /// tainted-fetch instructions in the block, replaying the per-insn
+  /// walk's one-time writebacks on first pass.
   u32 block_tainted_fetches(PAddr cr3, PAddr start_pa, u32 count);
 
   const os::OsiQuery& osi_;
   Options opts_;
-  /// Set for the duration of the synchronous on_insn_retired call; null
-  /// when propagate() runs from the async consumer. Discriminates where
-  /// page flags, finding windows and process identity come from.
-  const vm::AddressSpace* live_as_ = nullptr;
-  /// Event-sourced process identity (on_process_start/exit), so findings
-  /// resolve names without querying the kernel from a consumer thread.
-  /// Erased at exit: a hit is equivalent to an alive-only OSI query.
-  std::unordered_map<PAddr, osi::ProcessInfo> proc_info_map_;
-  /// Producer-captured code windows keyed (cr3, pc) — record_finding's
-  /// async replacement for the live copy_out (set_window).
-  std::map<std::pair<PAddr, VAddr>, std::pair<VAddr, Bytes>> windows_;
   ProvStore store_;
   TagMaps maps_;
   ShadowMemory shadow_;

@@ -1,7 +1,5 @@
 #include "core/tags.h"
 
-#include <cassert>
-
 namespace faros::core {
 
 const char* tag_type_name(TagType t) {
@@ -20,28 +18,33 @@ std::optional<ProvTag> ProvTag::unpack(const u8 in[3]) {
                  static_cast<u16>(in[1] | (in[2] << 8)));
 }
 
-namespace {
-u64 flow_key(const FlowTuple& f) {
+size_t NetflowMap::TupleHash::operator()(const FlowTuple& f) const {
   u64 k = hash_combine(f.src_ip, f.dst_ip);
-  k = hash_combine(k, (static_cast<u64>(f.src_port) << 16) | f.dst_port);
-  return k;
+  return hash_combine(k, (static_cast<u64>(f.src_port) << 16) | f.dst_port);
 }
-}  // namespace
 
 u16 NetflowMap::intern(const FlowTuple& flow) {
-  u64 key = flow_key(flow);
-  auto it = lookup_.find(key);
+  auto it = lookup_.find(flow);
   if (it != lookup_.end()) return it->second;
-  assert(flows_.size() < 0x10000);
+  if (flows_.size() >= kTagOverflowIndex) {
+    ++overflowed_;
+    return kTagOverflowIndex;
+  }
   u16 index = static_cast<u16>(flows_.size());
   flows_.push_back(flow);
-  lookup_[key] = index;
+  lookup_.emplace(flow, index);
   return index;
 }
 
+namespace {
+// What get() returns for the overflow index.
+const FlowTuple kOverflowFlow{};
+const ProcessMap::Entry kOverflowProcess{0, 0, "<overflow>"};
+const FileMap::Entry kOverflowFile{0, 0, "<overflow>"};
+}  // namespace
+
 const FlowTuple& NetflowMap::get(u16 index) const {
-  assert(index < flows_.size());
-  return flows_[index];
+  return index < flows_.size() ? flows_[index] : kOverflowFlow;
 }
 
 u16 ProcessMap::intern(PAddr cr3, u32 pid, const std::string& name) {
@@ -53,7 +56,10 @@ u16 ProcessMap::intern(PAddr cr3, u32 pid, const std::string& name) {
   if (it != by_cr3_.end() && entries_[it->second].pid == pid) {
     return it->second;
   }
-  assert(entries_.size() < 0x10000);
+  if (entries_.size() >= kTagOverflowIndex) {
+    ++overflowed_;
+    return kTagOverflowIndex;
+  }
   u16 index = static_cast<u16>(entries_.size());
   entries_.push_back(Entry{cr3, pid, name});
   by_cr3_[cr3] = index;
@@ -61,8 +67,7 @@ u16 ProcessMap::intern(PAddr cr3, u32 pid, const std::string& name) {
 }
 
 const ProcessMap::Entry& ProcessMap::get(u16 index) const {
-  assert(index < entries_.size());
-  return entries_[index];
+  return index < entries_.size() ? entries_[index] : kOverflowProcess;
 }
 
 std::optional<u16> ProcessMap::find_by_cr3(PAddr cr3) const {
@@ -75,7 +80,10 @@ u16 FileMap::intern(u32 file_id, u32 version, const std::string& name) {
   u64 key = (static_cast<u64>(file_id) << 32) | version;
   auto it = lookup_.find(key);
   if (it != lookup_.end()) return it->second;
-  assert(entries_.size() < 0x10000);
+  if (entries_.size() >= kTagOverflowIndex) {
+    ++overflowed_;
+    return kTagOverflowIndex;
+  }
   u16 index = static_cast<u16>(entries_.size());
   entries_.push_back(Entry{file_id, version, name});
   lookup_[key] = index;
@@ -83,11 +91,13 @@ u16 FileMap::intern(u32 file_id, u32 version, const std::string& name) {
 }
 
 const FileMap::Entry& FileMap::get(u16 index) const {
-  assert(index < entries_.size());
-  return entries_[index];
+  return index < entries_.size() ? entries_[index] : kOverflowFile;
 }
 
 std::string TagMaps::describe(ProvTag tag) const {
+  if (tag.index() == kTagOverflowIndex && tag.type() != TagType::kExportTable) {
+    return std::string(tag_type_name(tag.type())) + ": <overflow>";
+  }
   switch (tag.type()) {
     case TagType::kNetflow:
       return std::string(tag_type_name(tag.type())) + ": " +

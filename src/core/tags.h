@@ -65,17 +65,32 @@ class ProvTag {
   u16 index_ = 0;
 };
 
+/// Index every map hands out once its u16 index space is full: all later
+/// entries share it (rendering as "<overflow>") instead of wrapping onto
+/// index 0 and aliasing the first entry. Real entries use
+/// [0, kTagOverflowIndex), and each map counts the interns it refused.
+inline constexpr u16 kTagOverflowIndex = 0xffff;
+
 /// Netflow hash map: index <-> flow tuple.
 class NetflowMap {
  public:
-  /// Returns the tag index for `flow`, interning it if new.
+  /// Returns the tag index for `flow`, interning it if new. The lookup is
+  /// keyed on the exact tuple: a remote peer picks its own source address
+  /// and port, so a hash of the tuple is not an identity.
   u16 intern(const FlowTuple& flow);
+  /// The interned tuple; an all-zero tuple for the overflow index.
   const FlowTuple& get(u16 index) const;
   size_t size() const { return flows_.size(); }
+  /// Interns refused because the index space was full.
+  u64 overflowed() const { return overflowed_; }
 
  private:
+  struct TupleHash {
+    size_t operator()(const FlowTuple& f) const;
+  };
   std::vector<FlowTuple> flows_;
-  std::unordered_map<u64, u16> lookup_;
+  std::unordered_map<FlowTuple, u16, TupleHash> lookup_;
+  u64 overflowed_ = 0;
 };
 
 /// Process hash map: index <-> CR3 (plus the image name for reports).
@@ -88,13 +103,16 @@ class ProcessMap {
   };
 
   u16 intern(PAddr cr3, u32 pid, const std::string& name);
+  /// The interned entry; one named "<overflow>" for the overflow index.
   const Entry& get(u16 index) const;
   std::optional<u16> find_by_cr3(PAddr cr3) const;
   size_t size() const { return entries_.size(); }
+  u64 overflowed() const { return overflowed_; }
 
  private:
   std::vector<Entry> entries_;
   std::unordered_map<u64, u16> by_cr3_;
+  u64 overflowed_ = 0;
 };
 
 /// File hash map: index <-> (file id, name, access version). A new version
@@ -108,12 +126,15 @@ class FileMap {
   };
 
   u16 intern(u32 file_id, u32 version, const std::string& name);
+  /// The interned entry; one named "<overflow>" for the overflow index.
   const Entry& get(u16 index) const;
   size_t size() const { return entries_.size(); }
+  u64 overflowed() const { return overflowed_; }
 
  private:
   std::vector<Entry> entries_;
   std::unordered_map<u64, u16> lookup_;
+  u64 overflowed_ = 0;
 };
 
 /// All three maps plus rendering helpers.

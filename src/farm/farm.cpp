@@ -5,12 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "core/pipeline.h"
 #include "graph/graph.h"
 #include "os/snapshot.h"
 #include "sa/analyzer.h"
 #include "vm/btcache.h"
-#include "vm/trace_ring.h"
 
 namespace faros::farm {
 
@@ -159,8 +157,9 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     return r;
   };
 
-  // Phase timers live in a run_once-local sink (the engine does not exist
-  // during the record phase); null when metrics are off so no clock is read.
+  // Phase timers live in a run_once-local sink (the static phase runs
+  // before the engine exists); null when metrics are off so no clock is
+  // read.
   obs::MetricSink timers;
   obs::MetricSink* tsink =
       cfg_.engine_opts.collect_metrics ? &timers : nullptr;
@@ -220,115 +219,81 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
     }
   }
 
-  // --- record (live run, no analysis plugins) ---
-  os::Machine rec(mcfg);
-  if (auto b = rec.boot(); !b.ok()) return fail("boot: " + b.error().message);
+  // --- the analyzed run: the live guest under the FAROS engine ---
+  // One execution per job. The guest is a deterministic emulator and
+  // cannot observe the engine's cost, so there is nothing to gain from a
+  // bare record pass followed by an analyzed replay. The machine still
+  // captures its ReplayLog, which is the re-analysis path below. The
+  // machine is declared before the engine so the engine is torn down
+  // first.
+  os::Machine m(mcfg);
+  core::FarosEngine engine(m.kernel(), eopts);
+  m.attach_cpu_plugin(&engine);
+  m.add_monitor(&engine);
+  if (auto b = m.boot(); !b.ok()) return fail("boot: " + b.error().message);
   auto source = sc->make_source();
-  if (source) rec.set_event_source(source.get());
-  if (auto s = sc->setup(rec); !s.ok())
+  if (source) m.set_event_source(source.get());
+  if (auto s = sc->setup(m); !s.ok())
     return fail("setup: " + s.error().message);
-  os::RunStats rec_stats;
+  os::RunStats stats;
   {
-    obs::ScopedTimer t(tsink, obs::Tmr::kRecord);
-    rec_stats = rec.run(budget, &dog);
+    obs::ScopedTimer t(tsink, obs::Tmr::kRun);
+    stats = m.run(budget, &dog);
   }
-  if (rec_stats.aborted) return stopped();
-  r.record_instructions = rec_stats.instructions;
+  if (stats.aborted) return stopped();
 
-  // --- replay under the FAROS engine ---
-  // Async (default): a DiftPipeline attaches in place of the engine — the
-  // interpreter thread produces the event trace and one consumer thread
-  // per policy set replays it through its own engine (record-once/
-  // analyze-many tees extra_policies onto the same trace). Sync
-  // (--sync-dift): the historical inline engine, with extra policy sets
-  // replayed sequentially below. Verdicts are byte-identical either way.
-  // The pipeline's destructor finishes (drains + joins) on every exit
-  // path, including the watchdog aborts; `rep` is declared first so the
-  // consumers join before the machine they trace is torn down.
-  os::Machine rep(mcfg);
-  std::unique_ptr<core::FarosEngine> sync_engine;
-  std::unique_ptr<core::DiftPipeline> pipe;
-  if (cfg_.async_dift) {
-    std::vector<core::Options> eoptss;
-    eoptss.push_back(eopts);
-    for (const PolicySet& ps : cfg_.extra_policies) {
-      core::Options o = eopts;
-      o.rules = ps.rules;
-      o.collect_metrics = false;  // only the primary feeds the metrics row
-      eoptss.push_back(std::move(o));
-    }
-    pipe = std::make_unique<core::DiftPipeline>(
-        rep.kernel(), std::move(eoptss),
-        cfg_.ring_capacity ? cfg_.ring_capacity
-                           : vm::TraceRing::kDefaultCapacity);
-    rep.attach_cpu_plugin(pipe.get());
-    rep.add_monitor(pipe.get());
-  } else {
-    sync_engine = std::make_unique<core::FarosEngine>(rep.kernel(), eopts);
-    rep.attach_cpu_plugin(sync_engine.get());
-    rep.add_monitor(sync_engine.get());
-  }
-  if (auto b = rep.boot(); !b.ok())
-    return fail("replay boot: " + b.error().message);
-  if (auto s = sc->setup(rep); !s.ok())
-    return fail("replay setup: " + s.error().message);
-  rep.load_replay(rec.recording());
-  os::RunStats rep_stats;
-  {
-    obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
-    rep_stats = rep.run(budget, &dog);
-  }
-  if (pipe) pipe->finish();
-  if (rep_stats.aborted) return stopped();
-  core::FarosEngine& engine = pipe ? pipe->engine(0) : *sync_engine;
+  // COW clone stats are plain u64s on PhysMem (src/vm keeps no obs
+  // dependency). Every machine of the job counts — the analyzed run and
+  // each re-analysis replay — and each fault stream is a pure function of
+  // the spec, so the fold stays deterministic.
+  auto count_clone = [&](os::Machine& mach) {
+    const vm::PhysMem::CowStats& cs = mach.kernel().phys_mem().cow_stats();
+    if (!tsink || !cs.cow) return;
+    tsink->add(obs::Ctr::kSnapClone);
+    tsink->add(obs::Ctr::kCowFault, cs.cow_faults);
+    tsink->add(obs::Ctr::kSnapSharedPages, cs.shared_frames);
+  };
+  count_clone(m);
 
-  // Extra policy sets. Async already consumed them from the teed trace;
-  // sync replays the same recording once per set (the result-equivalence
-  // of the two paths is what the fan-out test checks).
-  if (pipe) {
-    for (size_t i = 0; i < cfg_.extra_policies.size(); ++i) {
-      r.policy_runs.push_back(
-          policy_run_of(cfg_.extra_policies[i].name, pipe->engine(i + 1)));
+  // --- re-analysis: each extra policy set replays the recording ---
+  for (const PolicySet& ps : cfg_.extra_policies) {
+    os::Machine m2(mcfg);
+    core::Options o = eopts;
+    o.rules = ps.rules;
+    o.collect_metrics = false;  // only the primary feeds the metrics row
+    core::FarosEngine e2(m2.kernel(), o);
+    m2.attach_cpu_plugin(&e2);
+    m2.add_monitor(&e2);
+    if (auto b = m2.boot(); !b.ok())
+      return fail("policy replay boot: " + b.error().message);
+    if (auto s = sc->setup(m2); !s.ok())
+      return fail("policy replay setup: " + s.error().message);
+    m2.load_replay(m.recording());
+    os::RunStats s2;
+    {
+      obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
+      s2 = m2.run(budget, &dog);
     }
-  } else {
-    for (const PolicySet& ps : cfg_.extra_policies) {
-      os::Machine m2(mcfg);
-      core::Options o = eopts;
-      o.rules = ps.rules;
-      o.collect_metrics = false;
-      core::FarosEngine e2(m2.kernel(), o);
-      m2.attach_cpu_plugin(&e2);
-      m2.add_monitor(&e2);
-      if (auto b = m2.boot(); !b.ok())
-        return fail("policy replay boot: " + b.error().message);
-      if (auto s = sc->setup(m2); !s.ok())
-        return fail("policy replay setup: " + s.error().message);
-      m2.load_replay(rec.recording());
-      os::RunStats s2;
-      {
-        obs::ScopedTimer t(tsink, obs::Tmr::kReplay);
-        s2 = m2.run(budget, &dog);
-      }
-      if (s2.aborted) return stopped();
-      r.policy_runs.push_back(policy_run_of(ps.name, e2));
-    }
+    if (s2.aborted) return stopped();
+    r.policy_runs.push_back(policy_run_of(ps.name, e2));
+    count_clone(m2);
   }
 
   r.status = JobStatus::kOk;
-  r.metrics = pipe ? pipe->metrics_snapshot() : engine.metrics_snapshot();
+  r.metrics = engine.metrics_snapshot();
   if (r.metrics.collected) {
-    // The run_once-local sink carries the phase timers plus the static-
-    // prefilter counters (the engine never touches those cells, so the
-    // element-wise add cannot double-count).
+    // The run_once-local sink carries the phase timers, the static-
+    // prefilter counters and the clone stats (the engine never touches
+    // those cells, so the element-wise add cannot double-count).
     obs::MetricSnapshot local = timers.snapshot();
     r.metrics.timer_ns = local.timer_ns;
     for (u32 i = 0; i < obs::kCtrCount; ++i) {
       r.metrics.counters[i] += local.counters[i];
     }
-    // The block cache lives in the replay interpreter (src/vm keeps no obs
-    // dependency, so its stats are plain u64s surfaced here). Counting only
-    // the replay machine keeps these deterministic per job.
-    if (const vm::BlockCache* btc = rep.kernel().interp().block_cache()) {
+    // The block cache lives in the interpreter; like the clone stats its
+    // counters are plain u64s surfaced here. Only the analyzed machine
+    // counts, which keeps them one run's deterministic facts per job.
+    if (const vm::BlockCache* btc = m.kernel().interp().block_cache()) {
       const vm::BlockCacheStats& bs = btc->stats();
       r.metrics.counters[static_cast<u32>(obs::Ctr::kBtTranslate)] +=
           bs.translated;
@@ -338,24 +303,12 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
       r.metrics.counters[static_cast<u32>(obs::Ctr::kBtEvictCr3)] +=
           bs.evict_cr3;
     }
-    // COW clone stats are plain u64s on PhysMem, like the block cache.
-    // Both machines count: record and replay each boot one clone, and both
-    // fault streams are pure functions of the spec (the replay retires the
-    // identical instruction sequence), so the fold stays deterministic.
-    for (os::Machine* m : {&rec, &rep}) {
-      const vm::PhysMem::CowStats& cs = m->kernel().phys_mem().cow_stats();
-      if (!cs.cow) continue;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kSnapClone)] += 1;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kCowFault)] +=
-          cs.cow_faults;
-      r.metrics.counters[static_cast<u32>(obs::Ctr::kSnapSharedPages)] +=
-          cs.shared_frames;
-    }
   }
-  r.replay_instructions = rep_stats.instructions;
-  r.all_exited = rep_stats.all_exited;
-  r.budget_exhausted = !rep_stats.all_exited && !rep_stats.deadlocked &&
-                       rep_stats.instructions >= budget;
+  r.record_instructions = stats.instructions;
+  r.replay_instructions = stats.instructions;
+  r.all_exited = stats.all_exited;
+  r.budget_exhausted = !stats.all_exited && !stats.deadlocked &&
+                       stats.instructions >= budget;
   r.flagged = engine.flagged();
   r.findings = static_cast<u32>(engine.findings().size());
   for (const auto& f : engine.findings()) {
@@ -374,9 +327,9 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
                        re.rule_stats(i).hits});
   }
 
-  // --- provenance graph export (engine + replay kernel still alive) ---
+  // --- provenance graph export (engine + analyzed kernel still alive) ---
   if (!cfg_.graph_out.empty()) {
-    graph::ProvGraph pg = graph::build_graph(engine, rep.kernel());
+    graph::ProvGraph pg = graph::build_graph(engine, m.kernel());
     Bytes blob = graph::serialize(pg);
     std::error_code ec;
     std::filesystem::create_directories(cfg_.graph_out, ec);
@@ -402,8 +355,8 @@ JobResult Farm::run_job(const JobSpec& spec) const {
   // timeouts would time out again and cancellations must stay cancelled.
   //
   // Retry hygiene (audited for --metrics determinism): every attempt is a
-  // whole-cloth re-run — run_once builds a fresh JobResult, fresh record/
-  // replay machines, a fresh engine and a fresh local timer sink, and the
+  // whole-cloth re-run — run_once builds a fresh JobResult, fresh
+  // machines, a fresh engine and a fresh local timer sink, and the
   // assignment below discards the aborted attempt's object entirely. No
   // counter or timer from a failed attempt can leak into the result the
   // farm emits; only `retries` (set here) and wall_ms (deliberately wall-
@@ -501,7 +454,7 @@ TriageReport Farm::run(std::vector<JobSpec> jobs) {
       case JobStatus::kTimeout: ++m.timeouts; break;
       case JobStatus::kCancelled: ++m.cancelled; break;
     }
-    m.instructions += r.record_instructions + r.replay_instructions;
+    m.instructions += r.replay_instructions;
     if (r.sa_analyzed) {
       ++m.sa_analyzed;
       if (r.sa_flagged) ++m.sa_flagged;
@@ -511,9 +464,9 @@ TriageReport Farm::run(std::vector<JobSpec> jobs) {
           static_cast<double>(
               r.metrics.timer_ns[static_cast<u32>(obs::Tmr::kStatic)]) /
           1e9;
-      m.record_s +=
+      m.run_s +=
           static_cast<double>(
-              r.metrics.timer_ns[static_cast<u32>(obs::Tmr::kRecord)]) /
+              r.metrics.timer_ns[static_cast<u32>(obs::Tmr::kRun)]) /
           1e9;
       m.replay_s +=
           static_cast<double>(

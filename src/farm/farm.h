@@ -1,8 +1,8 @@
 // Farm — the concurrent corpus-triage service. Fans a catalogue of analysis
 // jobs (src/attacks/corpus.h) across N worker threads; each worker owns a
 // private os::Machine + FarosEngine per job, so workers share no mutable
-// state and sharding is safe (scenarios are deterministic and record/replay
-// is per-job).
+// state and sharding is safe (scenarios are deterministic and each job runs
+// its guest once, analyzed live).
 //
 // Determinism argument: a job's execution depends only on its JobSpec (the
 // scenario factory, budget and engine options) — never on which worker ran
@@ -36,7 +36,7 @@ struct Snapshot;  // os/snapshot.h
 
 namespace faros::farm {
 
-/// One named ruleset for record-once/analyze-many fan-out
+/// One named ruleset for re-analysis fan-out
 /// (FarmConfig::extra_policies; faros_triage --policies a.json,b.json).
 struct PolicySet {
   std::string name;  // label carried into JobResult::PolicyRun
@@ -46,17 +46,18 @@ struct PolicySet {
 struct FarmConfig {
   /// Worker threads; 0 = std::thread::hardware_concurrency() (min 1).
   u32 workers = 0;
-  /// Default per-job wall-clock deadline (record + replay); 0 = no limit.
+  /// Default per-job wall-clock deadline (the run plus any re-analysis
+  /// replays); 0 = no limit.
   u64 timeout_ms = 60'000;
   /// Retries for kError jobs (transient harness failures).
   u32 retries = 1;
   /// Run the zero-execution static analyzer (src/sa) over each job's
-  /// extracted images before record/replay and stamp the JobResult with
+  /// extracted images before the dynamic run and stamp the JobResult with
   /// the static risk score / rule hits. Purely additive: dynamic verdicts
   /// are untouched.
   bool static_prefilter = false;
   /// Policy-aware static pruning: intersect the per-image sa trigger
-  /// masks of each job and hand the result to the replay engine
+  /// masks of each job and hand the result to the job's engine
   /// (core::Options::static_trigger_mask), so rule triggers statically
   /// proven unreachable skip their hot-path input computation. Detection
   /// and the per-rule eval counters are bit-identical on vs off (the
@@ -65,36 +66,24 @@ struct FarmConfig {
   /// When non-empty: write one provenance-graph artifact per completed job
   /// to `<graph_out>/<job name>.fpg` (src/graph binary format; job names
   /// are sanitized to filesystem-safe characters). The graph is built from
-  /// the replay engine + kernel at snapshot time and is a pure function of
+  /// the analyzed run's engine + kernel and is a pure function of
   /// the JobSpec — byte-identical for any worker count. The directory is
   /// created on demand.
   std::string graph_out;
-  /// Boot the guest once, freeze it, and run every job's record and replay
-  /// machines as copy-on-write clones of the frozen image (os/snapshot.h).
+  /// Boot the guest once, freeze it, and run every job's machines as
+  /// copy-on-write clones of the frozen image (os/snapshot.h).
   /// Purely a throughput lever: verdicts are byte-identical to cold-boot
   /// (the CI snapshot-equivalence gate pins this over the full corpus).
   /// The snapshot is captured lazily on the first job and shared read-only
   /// across workers.
   bool snapshot = true;
-  /// Run taint propagation on decoupled consumer threads (the event-trace
-  /// producer/consumer pipeline, core/pipeline.h) instead of inline in the
-  /// interpreter. Verdicts, per-rule eval counters, provenance stats and
-  /// graph artifacts are byte-identical either way — the async-vs-sync CI
-  /// gate pins this over the full corpus. Off (--sync-dift) keeps the
-  /// historical synchronous engine for A/B comparison.
-  bool async_dift = true;
-  /// Trace-ring slots per consumer (rounded up to a power of two by the
-  /// ring; 0 = vm::TraceRing::kDefaultCapacity). Small rings exercise
-  /// backpressure; the default trades ~1 MiB per consumer for slack.
-  size_t ring_capacity = 0;
-  /// Record-once/analyze-many: extra rule sets evaluated against the same
-  /// replay. Async mode tees the one event trace to one consumer engine
-  /// per set; sync mode replays the recording once per set. Results land
-  /// in JobResult::policy_runs in this order.
+  /// Re-analysis: extra rule sets, each evaluated by replaying the job's
+  /// recording under its own engine. Results land in
+  /// JobResult::policy_runs in this order.
   std::vector<PolicySet> extra_policies;
-  /// Engine options applied to every job's replay.
+  /// Engine options applied to every job's analyzed run.
   core::Options engine_opts;
-  /// Per-machine config for record and replay.
+  /// Per-machine config for the analyzed run and re-analysis replays.
   os::MachineConfig machine;
   /// Called once per job in ascending job-id order (never concurrently).
   std::function<void(const JobResult&)> on_result;
@@ -109,14 +98,14 @@ struct FarmMetrics {
   u32 errors = 0;
   u32 timeouts = 0;
   u32 cancelled = 0;
-  u64 instructions = 0;  // record + replay, all jobs
+  u64 instructions = 0;  // analyzed-run instructions, all jobs
   double wall_s = 0;
   double jobs_per_s = 0;
   double insns_per_s = 0;
   double p50_ms = 0;  // per-job latency percentiles (completed jobs)
   double p95_ms = 0;
-  double record_s = 0;  // summed per-job record-phase wall time
-  double replay_s = 0;  // summed per-job replay-phase wall time
+  double run_s = 0;     // summed per-job analyzed-run wall time
+  double replay_s = 0;  // summed per-job re-analysis replay wall time
   u32 sa_analyzed = 0;        // jobs the static prefilter covered
   u32 sa_flagged = 0;         // of those, statically flagged
   double static_s = 0;        // summed static-prefilter wall time

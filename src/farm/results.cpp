@@ -74,11 +74,11 @@ std::string job_jsonl(const JobResult& r) {
       .field("retries", r.retries)
       .field("error", r.error);
   // Per-rule eval/hit counts, in engine rule order. Only present when the
-  // replay ran (empty on error/timeout/cancel), and identical whether the
+  // run completed (empty on error/timeout/cancel), and identical whether the
   // ruleset came from the built-ins or an equivalent policy file — the
   // CI default-vs-file byte-diff depends on that.
   if (!r.rules.empty()) w.raw_field("rules", rules_json(r.rules));
-  // Record-once/analyze-many verdicts, present only when extra policy sets
+  // Re-analysis verdicts, present only when extra policy sets
   // were configured — streams from single-policy runs stay byte-identical.
   if (!r.policy_runs.empty()) {
     w.raw_field("policy_runs", policy_runs_json(r.policy_runs));
@@ -122,7 +122,7 @@ std::string summary_jsonl(const FarmMetrics& m) {
       .field("insns_per_s", m.insns_per_s)
       .field("p50_ms", m.p50_ms)
       .field("p95_ms", m.p95_ms)
-      .field("record_s", m.record_s)
+      .field("run_s", m.run_s)
       .field("replay_s", m.replay_s);
   if (m.sa_analyzed) {
     w.field("sa_analyzed", m.sa_analyzed)

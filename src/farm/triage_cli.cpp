@@ -15,16 +15,15 @@ namespace {
 // `name`, and render_triage_cli() walks the same table, so a flag cannot
 // gain a positive form without its negative (or vice versa).
 struct BoolFlag {
-  const char* name;   // "block-cache" → --block-cache / --no-block-cache
-  const char* no_alias;  // extra spelling for the negative form, or nullptr
+  const char* name;  // "block-cache" → --block-cache / --no-block-cache
   const char* help;
   void (*set)(TriageCliOptions&, bool);
   bool (*get)(const TriageCliOptions&);
 };
 
 constexpr BoolFlag kBoolFlags[] = {
-    {"block-cache", nullptr,
-     "per-CR3 block-translation cache in both machines plus the engine's\n"
+    {"block-cache",
+     "per-CR3 block-translation cache in every machine plus the engine's\n"
      "                   elision fast path (default: on; verdicts are\n"
      "                   byte-identical either way; CI pins this)",
      [](TriageCliOptions& o, bool v) {
@@ -32,7 +31,7 @@ constexpr BoolFlag kBoolFlags[] = {
        o.farm.engine_opts.block_cache = v;
      },
      [](const TriageCliOptions& o) { return o.farm.engine_opts.block_cache; }},
-    {"summary-elide", nullptr,
+    {"summary-elide",
      "static summary elide hints; off = only per-opcode taint-inert\n"
      "                   blocks run the uninstrumented fast body (default:\n"
      "                   on; byte-identical verdicts; CI pins this)",
@@ -40,34 +39,26 @@ constexpr BoolFlag kBoolFlags[] = {
      [](const TriageCliOptions& o) {
        return o.farm.engine_opts.summary_elide;
      }},
-    {"snapshot", nullptr,
+    {"snapshot",
      "boot the guest once and run each job as a copy-on-write clone of\n"
      "                   the frozen image (default: on; byte-identical\n"
      "                   verdicts; CI pins this)",
      [](TriageCliOptions& o, bool v) { o.farm.snapshot = v; },
      [](const TriageCliOptions& o) { return o.farm.snapshot; }},
-    {"static-prefilter", nullptr,
+    {"static-prefilter",
      "run the zero-execution static analyzer (src/sa) per job before\n"
-     "                   record/replay and score it next to the dynamic\n"
+     "                   the dynamic run and score it next to the dynamic\n"
      "                   verdicts (default: off)",
      [](TriageCliOptions& o, bool v) { o.farm.static_prefilter = v; },
      [](const TriageCliOptions& o) { return o.farm.static_prefilter; }},
-    {"static-prune", nullptr,
+    {"static-prune",
      "mask rule triggers the static analyzer proved unreachable per\n"
      "                   job, skipping their hot-path input computation\n"
      "                   (default: off; byte-identical detection and\n"
      "                   per-rule eval counts; CI pins this)",
      [](TriageCliOptions& o, bool v) { o.farm.static_prune = v; },
      [](const TriageCliOptions& o) { return o.farm.static_prune; }},
-    {"async-dift", "sync-dift",
-     "decoupled producer/consumer taint pipeline (core/pipeline.h):\n"
-     "                   the interpreter streams event records to consumer\n"
-     "                   threads that replay propagation. --sync-dift keeps\n"
-     "                   the historical inline engine (default: async;\n"
-     "                   byte-identical verdicts; CI pins this)",
-     [](TriageCliOptions& o, bool v) { o.farm.async_dift = v; },
-     [](const TriageCliOptions& o) { return o.farm.async_dift; }},
-    {"quiet", nullptr, "suppress the per-job console lines (default: off)",
+    {"quiet", "suppress the per-job console lines (default: off)",
      [](TriageCliOptions& o, bool v) { o.quiet = v; },
      [](const TriageCliOptions& o) { return o.quiet; }},
 };
@@ -112,7 +103,7 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
     o.metrics_path = env;
   }
 
-  u64 workers = 0, ring_capacity = 0;
+  u64 workers = 0;
   for (size_t i = 0; i < args.size() && r.ok(); ++i) {
     const std::string& arg = args[i];
     auto next_str = [&](std::string* out) {
@@ -137,7 +128,6 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
     if (arg == "--jobs") { next_u64(&o.max_jobs); continue; }
     if (arg == "--timeout-ms") { next_u64(&o.farm.timeout_ms); continue; }
     if (arg == "--budget") { next_u64(&o.budget); continue; }
-    if (arg == "--ring-capacity") { next_u64(&ring_capacity); continue; }
     if (arg == "--filter") { next_str(&o.filter); continue; }
     if (arg == "--category") { next_str(&o.category); continue; }
     if (arg == "--out") { next_str(&o.out_path); continue; }
@@ -155,8 +145,7 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
       if (arg == std::string("--") + f.name) {
         f.set(o, true);
         matched = true;
-      } else if (arg == std::string("--no-") + f.name ||
-                 (f.no_alias && arg == std::string("--") + f.no_alias)) {
+      } else if (arg == std::string("--no-") + f.name) {
         f.set(o, false);
         matched = true;
       }
@@ -164,10 +153,7 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args) {
     }
     if (!matched) r.error = "unknown option '" + arg + "'";
   }
-  if (r.ok()) {
-    o.farm.workers = static_cast<u32>(workers);
-    o.farm.ring_capacity = static_cast<size_t>(ring_capacity);
-  }
+  if (r.ok()) o.farm.workers = static_cast<u32>(workers);
   return r;
 }
 
@@ -187,17 +173,13 @@ std::string triage_usage() {
       "  --timeout-ms N   per-job wall-clock deadline (default 60000;\n"
       "                   0 = none)\n"
       "  --budget N       per-job instruction budget override\n"
-      "  --ring-capacity N\n"
-      "                   trace-ring slots per DIFT consumer (rounded up\n"
-      "                   to a power of two; default 16384; small values\n"
-      "                   exercise backpressure)\n"
       "\n"
       "policies:\n"
       "  --policies A[,B,...]\n"
       "                   load confluence rulesets from JSON policy files.\n"
       "                   The first replaces the built-ins; each further\n"
-      "                   file runs record-once/analyze-many against the\n"
-      "                   same replay (one verdict per set in the\n"
+      "                   file re-analyzes the job by replaying its\n"
+      "                   recording (one verdict per set in the\n"
       "                   policy_runs JSONL field). Also adds the\n"
       "                   policy-corpus jobs.\n"
       "  --list-policies  print the effective primary ruleset as\n"
@@ -217,11 +199,6 @@ std::string triage_usage() {
     out += f.name;
     out += " / --no-";
     out += f.name;
-    if (f.no_alias) {
-      out += " (alias --";
-      out += f.no_alias;
-      out += ")";
-    }
     out += "\n                   ";
     out += f.help;
     out += "\n";
@@ -249,10 +226,6 @@ std::vector<std::string> render_triage_cli(const TriageCliOptions& o) {
     out.push_back(num(o.farm.timeout_ms));
   }
   if (o.budget) { out.push_back("--budget"); out.push_back(num(o.budget)); }
-  if (o.farm.ring_capacity) {
-    out.push_back("--ring-capacity");
-    out.push_back(num(o.farm.ring_capacity));
-  }
   if (!o.policy_paths.empty()) {
     std::string csv;
     for (size_t i = 0; i < o.policy_paths.size(); ++i) {
@@ -272,16 +245,9 @@ std::vector<std::string> render_triage_cli(const TriageCliOptions& o) {
     out.push_back(o.farm.graph_out);
   }
   // Boolean features are always rendered explicitly — the canonical argv is
-  // self-describing even if a default flips later. The negative spelling
-  // prefers the alias (--sync-dift) where one exists.
+  // self-describing even if a default flips later.
   for (const BoolFlag& f : kBoolFlags) {
-    if (f.get(o)) {
-      out.push_back(std::string("--") + f.name);
-    } else if (f.no_alias) {
-      out.push_back(std::string("--") + f.no_alias);
-    } else {
-      out.push_back(std::string("--no-") + f.name);
-    }
+    out.push_back(std::string(f.get(o) ? "--" : "--no-") + f.name);
   }
   if (o.list_only) out.push_back("--list");
   if (o.list_policies) out.push_back("--list-policies");

@@ -30,7 +30,7 @@ struct TriageCliOptions {
   bool quiet = false;
 
   // Policy files (--policies a.json,b.json): the first replaces the
-  // built-in ruleset; the rest run as record-once/analyze-many extras
+  // built-in ruleset; each further file re-analyzes every job by replay
   // (FarmConfig::extra_policies) once loaded by load_policy_files().
   std::vector<std::string> policy_paths;
 

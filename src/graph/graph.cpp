@@ -164,7 +164,9 @@ struct Builder {
           add_edge(EdgeType::kDerivedFrom, sink, export_module_node, pos);
           break;
         case core::TagType::kProcess: {
-          // Process tags name who moved the bytes: process -> sink.
+          // Process tags name who moved the bytes: process -> sink. The
+          // overflow index names no process.
+          if (tag.index() == core::kTagOverflowIndex) break;
           const auto& entry = engine.maps().process.get(tag.index());
           auto it = process_node_by_pid.find(entry.pid);
           if (it != process_node_by_pid.end()) {

@@ -52,12 +52,10 @@ const char* ctr_name(Ctr c) {
     case Ctr::kSnapClone: return "snap_clone";
     case Ctr::kCowFault: return "cow_faults";
     case Ctr::kSnapSharedPages: return "snap_shared_pages";
-    case Ctr::kRingRecords: return "ring_records";
-    case Ctr::kRingWindows: return "ring_windows";
-    case Ctr::kRingElideVeto: return "ring_elide_veto";
-    case Ctr::kRingProducerStalls: return "ring_producer_stalls";
-    case Ctr::kRingConsumerWaits: return "ring_consumer_waits";
-    case Ctr::kRingMaxDepth: return "ring_max_depth";
+    case Ctr::kProvStoreSaturated: return "prov_store_saturated";
+    case Ctr::kNetflowTagOverflow: return "netflow_tag_overflow";
+    case Ctr::kProcessTagOverflow: return "process_tag_overflow";
+    case Ctr::kFileTagOverflow: return "file_tag_overflow";
     case Ctr::kCount: break;
   }
   return "?";
@@ -65,7 +63,7 @@ const char* ctr_name(Ctr c) {
 
 const char* tmr_name(Tmr t) {
   switch (t) {
-    case Tmr::kRecord: return "record_ns";
+    case Tmr::kRun: return "run_ns";
     case Tmr::kReplay: return "replay_ns";
     case Tmr::kStatic: return "static_ns";
     case Tmr::kCount: break;
@@ -74,10 +72,7 @@ const char* tmr_name(Tmr t) {
 }
 
 void append_counter_fields(JsonWriter& w, const MetricSnapshot& m) {
-  // The serialised schema deliberately stops before the nondeterministic
-  // tail: ring stall/wait/depth counters vary with thread scheduling and
-  // would break the byte-identical-across-worker-counts guarantee.
-  for (u32 i = 0; i < kFirstNondetCtr; ++i) {
+  for (u32 i = 0; i < kCtrCount; ++i) {
     w.field(ctr_name(static_cast<Ctr>(i)), m.counters[i]);
   }
 }

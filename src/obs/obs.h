@@ -111,45 +111,30 @@ enum class Ctr : u32 {
                     // (content-hash matched; beyond per-opcode inertness)
 
   // --- snapshot/COW guest cloning (os/snapshot.h; farm clone-per-job) ---
-  kSnapClone,        // machines booted from the shared snapshot (2 per
-                     // job with cloning on: record + replay)
-  kCowFault,         // frames copied private on first write, both machines
+  kSnapClone,        // machines booted from the shared snapshot (1 per
+                     // job with cloning on, plus 1 per extra policy set)
+  kCowFault,         // frames copied private on first write, all machines
   kSnapSharedPages,  // frames still snapshot-backed when the job finished
 
-  // --- decoupled DIFT pipeline (src/core/pipeline.h), deterministic ---
-  kRingRecords,   // trace records pushed (insn + bulk + window slots)
-  kRingWindows,   // code windows captured and shipped to consumers
-  kRingElideVeto, // producer declined an elide (dirty reg mask / maybe-
-                  // tainted code frame under bound fetch rules)
-
-  // ======================================================================
-  // Everything from kRingProducerStalls on is NONDETERMINISTIC (thread-
-  // scheduling artifacts) and is excluded from append_counter_fields, so
-  // the deterministic metrics JSONL schema ends at kRingElideVeto. Add new
-  // deterministic counters ABOVE this line (see kFirstNondetCtr below).
-  kRingProducerStalls,  // yield loops with the ring full
-  kRingConsumerWaits,   // yield loops with the ring empty
-  kRingMaxDepth,        // high-water slot occupancy
+  // --- saturation (copied from the engine at snapshot): interns refused
+  // because a table was full. Nonzero means provenance degraded.
+  kProvStoreSaturated,  // ProvStore list interns past prov_store_max_lists
+  kNetflowTagOverflow,  // flows past the u16 netflow index space
+  kProcessTagOverflow,  // processes past the u16 process index space
+  kFileTagOverflow,     // file versions past the u16 file index space
 
   kCount,
 };
 
 inline constexpr u32 kCtrCount = static_cast<u32>(Ctr::kCount);
 
-/// First nondeterministic counter. [0, kFirstNondetCtr) is the
-/// deterministic serialised schema; [kFirstNondetCtr, kCtrCount) holds
-/// thread-scheduling artifacts (ring stalls/waits/depth) that stay out of
-/// every byte-diffed stream, like timers do.
-inline constexpr u32 kFirstNondetCtr =
-    static_cast<u32>(Ctr::kRingProducerStalls);
-
 /// Stable snake_case name for serialisation ("shadow_frame_cache_hit", ...).
 const char* ctr_name(Ctr c);
 
 /// Timer taxonomy (wall-clock accumulators; nondeterministic by nature).
 enum class Tmr : u32 {
-  kRecord = 0,  // live record phase of a farm job
-  kReplay,      // replay-under-FAROS phase of a farm job
+  kRun = 0,  // the analyzed live run of a farm job
+  kReplay,   // re-analysis replays of a farm job (one per extra policy set)
   kStatic,      // static-prefilter phase (image extraction + sa::analyze)
   kCount,
 };
@@ -277,7 +262,7 @@ class ScopedTimer {
  private:
 #ifndef FAROS_OBS_DISABLED
   MetricSink* sink_ = nullptr;
-  Tmr id_ = Tmr::kRecord;
+  Tmr id_ = Tmr::kRun;
   std::chrono::steady_clock::time_point start_{};
 #endif
 };

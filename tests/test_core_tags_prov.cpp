@@ -1,7 +1,9 @@
 // Tags (3-byte prov_tag, per-type hash maps) and interned provenance lists.
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/provenance.h"
 #include "core/shadow.h"
 
@@ -47,6 +49,88 @@ TEST(NetflowMap, InternIsIdempotentAndOrdered) {
   EXPECT_EQ(map.get(ia), a);
   EXPECT_EQ(map.get(ib), b);
   EXPECT_EQ(map.size(), 2u);
+}
+
+TEST(NetflowMap, HashCollidingFlowsGetDistinctTags) {
+  // Two attacker-chosen endpoints whose tuples collide under the
+  // boost-style 64-bit hash_combine key (0x81f7f3321dc9a267). A lookup
+  // keyed on that hash alone would hand both flows one netflow tag.
+  FlowTuple a{parse_ipv4("10.0.13.31"), 49152, parse_ipv4("10.0.0.2"), 4444};
+  FlowTuple b{parse_ipv4("10.0.13.15"), 53246, parse_ipv4("10.0.0.2"), 4444};
+  ASSERT_FALSE(a == b);
+  auto key = [](const FlowTuple& f) {
+    u64 k = hash_combine(f.src_ip, f.dst_ip);
+    return hash_combine(k, (static_cast<u64>(f.src_port) << 16) | f.dst_port);
+  };
+  ASSERT_EQ(key(a), key(b));
+  ASSERT_EQ(key(a), 0x81f7f3321dc9a267ull);
+
+  NetflowMap map;
+  u16 ia = map.intern(a);
+  u16 ib = map.intern(b);
+  EXPECT_NE(ia, ib);
+  EXPECT_EQ(map.get(ia), a);
+  EXPECT_EQ(map.get(ib), b);
+  EXPECT_EQ(map.intern(b), ib);
+  EXPECT_EQ(map.size(), 2u);
+}
+
+TEST(NetflowMap, FullIndexSpaceSaturatesInsteadOfWrapping) {
+  // 65,537 distinct flows: one more than a u16 index can name. The map
+  // must never wrap an entry onto index 0 (aliasing the first flow);
+  // entries past the space share the reserved overflow index, counted.
+  NetflowMap map;
+  const FlowTuple first{1, 1, 2, 2};
+  EXPECT_EQ(map.intern(first), 0u);
+  FlowTuple last;
+  for (u32 i = 1; i < 65537; ++i) {
+    last = FlowTuple{0x0a000000u + i, static_cast<u16>(i), 2, 2};
+    u16 idx = map.intern(last);
+    if (i < kTagOverflowIndex) {
+      EXPECT_EQ(idx, i);
+    } else {
+      EXPECT_EQ(idx, kTagOverflowIndex);
+    }
+  }
+  EXPECT_EQ(map.size(), static_cast<size_t>(kTagOverflowIndex));
+  EXPECT_EQ(map.overflowed(), 2u);
+  // The 65,537th flow's tag must not resolve to flow 0's tuple, and flow 0
+  // keeps its own.
+  EXPECT_NE(map.get(map.intern(last)), first);
+  EXPECT_EQ(map.get(0), first);
+  EXPECT_EQ(map.intern(first), 0u);
+
+  TagMaps maps;
+  maps.netflow = map;
+  EXPECT_EQ(maps.describe(ProvTag::netflow(kTagOverflowIndex)),
+            "NetFlow: <overflow>");
+  EXPECT_NE(maps.describe(ProvTag::netflow(0)).find("0.0.0.1"),
+            std::string::npos);
+}
+
+TEST(TagMaps, ProcessAndFileMapsSaturateOntoOverflowIndex) {
+  ProcessMap procs;
+  FileMap files;
+  for (u32 i = 0; i < kTagOverflowIndex; ++i) {
+    ASSERT_EQ(procs.intern(0x1000 + static_cast<u64>(i) * 0x1000, i, "p"), i);
+    ASSERT_EQ(files.intern(i, 1, "f"), i);
+  }
+  EXPECT_EQ(procs.intern(0x7fff00000000ull, 99999, "late.exe"), kTagOverflowIndex);
+  EXPECT_EQ(files.intern(99999, 1, "late.txt"), kTagOverflowIndex);
+  EXPECT_EQ(procs.overflowed(), 1u);
+  EXPECT_EQ(files.overflowed(), 1u);
+  EXPECT_EQ(procs.get(0).pid, 0u);
+  EXPECT_EQ(procs.get(kTagOverflowIndex).name, "<overflow>");
+  EXPECT_FALSE(procs.find_by_cr3(0x7fff00000000ull).has_value());
+  EXPECT_EQ(files.get(kTagOverflowIndex).name, "<overflow>");
+
+  TagMaps maps;
+  maps.process = procs;
+  maps.file = files;
+  EXPECT_EQ(maps.describe(ProvTag::process(kTagOverflowIndex)),
+            "Process: <overflow>");
+  EXPECT_EQ(maps.describe(ProvTag::file(kTagOverflowIndex)),
+            "File: <overflow>");
 }
 
 TEST(ProcessMap, ReusedCr3GetsFreshEntryForNewPid) {

@@ -4,6 +4,7 @@
 // — they deliberately exercise the concurrent paths hard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -444,61 +445,69 @@ TEST(Farm, CancelMidQueueDrainsCleanly) {
   }
 }
 
-TEST(Farm, AsyncAndSyncDiftProduceIdenticalStreams) {
-  // The decoupled producer/consumer pipeline (core/pipeline.h) must be
-  // observably indistinguishable from the historical inline engine:
-  // verdicts, findings, per-rule eval counters, provenance stats — the
-  // whole job line. A tiny ring forces the backpressure path through the
-  // same equivalence.
-  auto jobs = corpus_jobs(attacks::injection_corpus());
+TEST(Farm, LiveAnalysisMatchesReplayReferenceOnFullCorpus) {
+  // The farm analyzes each job during its one live run. The reference
+  // semantics is the paper's: record a bare run, then replay it under
+  // FAROS (attacks::analyze, cold boot, no static hints). Both must reach
+  // the same verdict and provenance state on every job of the corpus.
+  const std::vector<attacks::CorpusEntry> corpus = attacks::full_corpus();
+  FarmConfig cfg;
+  cfg.workers = 2;
+  farm::TriageReport live = Farm(cfg).run(corpus_jobs(corpus));
+  ASSERT_EQ(live.results.size(), corpus.size());
+  ASSERT_EQ(corpus.size(), 135u);
 
-  FarmConfig async_cfg;
-  async_cfg.async_dift = true;
-  std::string async_out = farm::results_jsonl(Farm(async_cfg).run(jobs));
+  u32 tp = 0;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const JobResult& r = live.results[i];
+    ASSERT_EQ(r.status, JobStatus::kOk) << r.name << ": " << r.error;
+    auto sc = corpus[i].make();
+    auto ref = attacks::analyze(*sc);
+    ASSERT_TRUE(ref.ok()) << r.name << ": " << ref.error().message;
+    const attacks::AnalyzedRun& a = ref.value();
 
-  FarmConfig sync_cfg;
-  sync_cfg.async_dift = false;
-  std::string sync_out = farm::results_jsonl(Farm(sync_cfg).run(jobs));
+    std::vector<std::string> policies;
+    for (const auto& f : a.findings) policies.push_back(f.policy);
+    std::sort(policies.begin(), policies.end());
+    policies.erase(std::unique(policies.begin(), policies.end()),
+                   policies.end());
 
-  FarmConfig tiny_ring_cfg;
-  tiny_ring_cfg.async_dift = true;
-  tiny_ring_cfg.ring_capacity = 8;
-  std::string tiny_out = farm::results_jsonl(Farm(tiny_ring_cfg).run(jobs));
-
-  EXPECT_EQ(async_out, sync_out);
-  EXPECT_EQ(async_out, tiny_out);
-  ASSERT_FALSE(async_out.empty());
-  EXPECT_NE(async_out.find("\"verdict\":\"TP\""), std::string::npos);
-  EXPECT_NE(async_out.find("\"rules\":"), std::string::npos);
+    EXPECT_EQ(r.flagged, a.flagged) << r.name;
+    EXPECT_EQ(r.findings, a.findings.size()) << r.name;
+    EXPECT_EQ(r.policies, policies) << r.name;
+    EXPECT_EQ(r.prov_lists, a.prov_lists) << r.name;
+    EXPECT_EQ(r.tainted_bytes, a.tainted_bytes) << r.name;
+    EXPECT_EQ(r.record_instructions, a.recorded.stats.instructions) << r.name;
+    EXPECT_EQ(r.replay_instructions, a.replayed.stats.instructions) << r.name;
+    if (r.flagged && r.expect_flagged) ++tp;
+  }
+  EXPECT_EQ(live.metrics.flagged, 13u);
+  EXPECT_EQ(tp, 13u);
 }
 
 TEST(Farm, MultiPolicyFanOutMatchesSeparateRuns) {
-  // Record-once/analyze-many: one replay teed to extra policy engines must
-  // produce, per set, exactly what a separate farm run with that set as
-  // the primary ruleset would — in both async (trace tee) and sync
-  // (re-replay) modes.
+  // Re-analysis: each extra policy set replays the job's recording under
+  // its own engine, and must reach exactly what a separate live run with
+  // that set as the primary ruleset reaches.
   auto jobs = corpus_jobs(attacks::injection_corpus());
   jobs.resize(4);
   std::vector<core::RuleSpec> alt = core::builtin_rules(false, true, true);
 
-  auto fan_out = [&](bool async) {
-    FarmConfig cfg;
-    cfg.async_dift = async;
-    cfg.extra_policies.push_back(farm::PolicySet{"alt", alt});
-    return Farm(cfg).run(jobs);
-  };
-  farm::TriageReport async_rep = fan_out(true);
-  farm::TriageReport sync_rep = fan_out(false);
+  FarmConfig fan_cfg;
+  fan_cfg.extra_policies.push_back(farm::PolicySet{"alt", alt});
+  farm::TriageReport fan = Farm(fan_cfg).run(jobs);
 
   FarmConfig alone_cfg;
   alone_cfg.engine_opts.rules = alt;
   farm::TriageReport alone = Farm(alone_cfg).run(jobs);
 
-  ASSERT_EQ(async_rep.results.size(), 4u);
-  ASSERT_EQ(sync_rep.results.size(), 4u);
-  for (size_t i = 0; i < async_rep.results.size(); ++i) {
-    const JobResult& a = async_rep.results[i];
-    EXPECT_EQ(farm::job_jsonl(a), farm::job_jsonl(sync_rep.results[i]));
+  FarmConfig plain_cfg;
+  farm::TriageReport plain = Farm(plain_cfg).run(jobs);
+
+  ASSERT_EQ(fan.results.size(), 4u);
+  for (size_t i = 0; i < fan.results.size(); ++i) {
+    const JobResult& a = fan.results[i];
+    ASSERT_EQ(a.status, JobStatus::kOk) << a.name << ": " << a.error;
     ASSERT_EQ(a.policy_runs.size(), 1u) << a.name;
     EXPECT_EQ(a.policy_runs[0].name, "alt");
     const JobResult& solo = alone.results[i];
@@ -506,12 +515,18 @@ TEST(Farm, MultiPolicyFanOutMatchesSeparateRuns) {
     EXPECT_EQ(a.policy_runs[0].findings, solo.findings) << a.name;
     EXPECT_EQ(a.policy_runs[0].suppressed, solo.suppressed) << a.name;
     EXPECT_EQ(a.policy_runs[0].policies, solo.policies) << a.name;
-    // The primary verdict is untouched by fan-out.
+    // The primary verdict is untouched by fan-out: the job line equals a
+    // plain run's plus the policy_runs field.
+    JobResult stripped = a;
+    stripped.policy_runs.clear();
+    EXPECT_EQ(farm::job_jsonl(stripped), farm::job_jsonl(plain.results[i]))
+        << a.name;
     EXPECT_NE(farm::job_jsonl(a).find("\"policy_runs\":"), std::string::npos);
+    // One clone for the analyzed run plus one per re-analysis replay.
+    EXPECT_EQ(a.metrics[obs::Ctr::kSnapClone], 2u) << a.name;
+    EXPECT_EQ(plain.results[i].metrics[obs::Ctr::kSnapClone], 1u) << a.name;
   }
   // Streams without extra policies never carry the field.
-  FarmConfig plain_cfg;
-  farm::TriageReport plain = Farm(plain_cfg).run(jobs);
   EXPECT_EQ(farm::job_jsonl(plain.results[0]).find("policy_runs"),
             std::string::npos);
 }
@@ -523,7 +538,6 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
   // Defaults.
   farm::TriageCliResult def = parse_triage_cli({});
   ASSERT_TRUE(def.ok()) << def.error;
-  EXPECT_TRUE(def.opts.farm.async_dift);
   EXPECT_TRUE(def.opts.farm.snapshot);
   EXPECT_TRUE(def.opts.farm.engine_opts.block_cache);
   EXPECT_TRUE(def.opts.farm.engine_opts.summary_elide);
@@ -532,8 +546,7 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
 
   // Every boolean feature has a working --X and --no-X spelling.
   const char* features[] = {"block-cache", "summary-elide", "snapshot",
-                            "static-prefilter", "static-prune", "async-dift",
-                            "quiet"};
+                            "static-prefilter", "static-prune", "quiet"};
   for (const char* f : features) {
     auto on = parse_triage_cli({std::string("--") + f});
     auto off = parse_triage_cli({std::string("--no-") + f});
@@ -544,29 +557,20 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
     EXPECT_NE(render_triage_cli(on.opts), render_triage_cli(off.opts)) << f;
   }
 
-  // --sync-dift is the alias for --no-async-dift.
-  auto sync1 = parse_triage_cli({"--sync-dift"});
-  auto sync2 = parse_triage_cli({"--no-async-dift"});
-  ASSERT_TRUE(sync1.ok() && sync2.ok());
-  EXPECT_FALSE(sync1.opts.farm.async_dift);
-  EXPECT_EQ(render_triage_cli(sync1.opts), render_triage_cli(sync2.opts));
-
   // Full-surface round trip: parse → render → parse reproduces the config.
   std::vector<std::string> argv = {
       "--workers", "8", "--jobs", "20", "--filter", "jit", "--category",
       "injection", "--timeout-ms", "1234", "--budget", "99", "--out",
       "r.jsonl", "--metrics", "m.jsonl", "--graph-out", "graphs",
-      "--ring-capacity", "16", "--policies", "a.json,b.json,c.json",
+      "--policies", "a.json,b.json,c.json",
       "--no-block-cache", "--no-summary-elide", "--no-snapshot",
-      "--static-prefilter", "--static-prune", "--sync-dift", "--quiet"};
+      "--static-prefilter", "--static-prune", "--quiet"};
   farm::TriageCliResult once = parse_triage_cli(argv);
   ASSERT_TRUE(once.ok()) << once.error;
   EXPECT_EQ(once.opts.farm.workers, 8u);
   EXPECT_EQ(once.opts.farm.timeout_ms, 1234u);
-  EXPECT_EQ(once.opts.farm.ring_capacity, 16u);
   EXPECT_FALSE(once.opts.farm.engine_opts.block_cache);
   EXPECT_FALSE(once.opts.farm.machine.kernel.block_cache);
-  EXPECT_FALSE(once.opts.farm.async_dift);
   ASSERT_EQ(once.opts.policy_paths.size(), 3u);
   EXPECT_EQ(once.opts.policy_paths[1], "b.json");
 
@@ -586,7 +590,6 @@ TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
     EXPECT_NE(usage.find(std::string("--") + f), std::string::npos) << f;
     EXPECT_NE(usage.find(std::string("--no-") + f), std::string::npos) << f;
   }
-  EXPECT_NE(usage.find("--sync-dift"), std::string::npos);
 }
 
 TEST(FarmResults, JsonlIsWellFormedAndEscaped) {

@@ -78,11 +78,11 @@ TEST(ObsSnapshot, MergeAccumulatesAndTracksCollected) {
 
 TEST(ObsScopedTimer, AccumulatesOnlyWhenBound) {
   MetricSink sink;
-  { obs::ScopedTimer t(&sink, Tmr::kRecord); }
+  { obs::ScopedTimer t(&sink, Tmr::kRun); }
   { obs::ScopedTimer t(nullptr, Tmr::kReplay); }
 #ifndef FAROS_OBS_DISABLED
   // steady_clock may be coarse, but a completed scope never subtracts.
-  EXPECT_GE(sink.timer_ns(Tmr::kRecord), 0u);
+  EXPECT_GE(sink.timer_ns(Tmr::kRun), 0u);
 #endif
   EXPECT_EQ(sink.timer_ns(Tmr::kReplay), 0u);
 }
@@ -96,10 +96,10 @@ TEST(ObsNames, UniqueNonEmptyAndStable) {
     EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
   }
   EXPECT_STREQ(obs::ctr_name(Ctr::kInsnsRetired), "insns_retired");
-  EXPECT_STREQ(obs::tmr_name(Tmr::kRecord), "record_ns");
+  EXPECT_STREQ(obs::tmr_name(Tmr::kRun), "run_ns");
 }
 
-TEST(ObsNames, AppendCounterFieldsEmitsDeterministicPrefixInOrder) {
+TEST(ObsNames, AppendCounterFieldsEmitsEveryCounterInOrder) {
   MetricSink sink;
   sink.add(Ctr::kLoads, 3);
   MetricSnapshot s = sink.snapshot();
@@ -107,7 +107,7 @@ TEST(ObsNames, AppendCounterFieldsEmitsDeterministicPrefixInOrder) {
   obs::append_counter_fields(w, s);
   std::string out = w.str();
   size_t last = 0;
-  for (u32 i = 0; i < obs::kFirstNondetCtr; ++i) {
+  for (u32 i = 0; i < obs::kCtrCount; ++i) {
     std::string key = std::string("\"") +
                       obs::ctr_name(static_cast<Ctr>(i)) + "\":";
     size_t pos = out.find(key, last);
@@ -115,15 +115,7 @@ TEST(ObsNames, AppendCounterFieldsEmitsDeterministicPrefixInOrder) {
     last = pos;
   }
   EXPECT_NE(out.find("\"loads\":3"), std::string::npos);
-  EXPECT_EQ(out.find("record_ns"), std::string::npos);  // no timers
-  // The nondeterministic tail (thread-scheduling artifacts: ring stalls,
-  // waits, depth) must never enter the serialised schema.
-  for (u32 i = obs::kFirstNondetCtr; i < obs::kCtrCount; ++i) {
-    std::string key = std::string("\"") +
-                      obs::ctr_name(static_cast<Ctr>(i)) + "\":";
-    EXPECT_EQ(out.find(key), std::string::npos)
-        << key << " leaked into the deterministic schema";
-  }
+  EXPECT_EQ(out.find("run_ns"), std::string::npos);  // no timers
 }
 
 #ifndef FAROS_OBS_DISABLED
@@ -216,6 +208,32 @@ TEST(ObsEngine, SnapshotFoldsEngineStatsAndRespectsToggle) {
 #endif
 }
 
+TEST(ObsEngine, SnapshotSurfacesStoreSaturation) {
+  // A provenance store bounded far below what the scenario needs must
+  // report its refused interns in the counter stream, not only through
+  // ProvStore::saturated_ops().
+  attacks::HollowingScenario sc;
+  os::Machine m;
+  core::Options opts;
+  opts.prov_store_max_lists = 4;
+  core::FarosEngine engine(m.kernel(), opts);
+  m.attach_cpu_plugin(&engine);
+  m.add_monitor(&engine);
+  ASSERT_TRUE(m.boot().ok());
+  ASSERT_TRUE(sc.setup(m).ok());
+  m.run(sc.budget());
+  obs::MetricSnapshot s = engine.metrics_snapshot();
+  ASSERT_TRUE(s.collected);
+  EXPECT_GT(engine.store().saturated_ops(), 0u);
+  EXPECT_EQ(s[Ctr::kProvStoreSaturated], engine.store().saturated_ops());
+  EXPECT_EQ(s[Ctr::kNetflowTagOverflow], 0u);
+  JsonWriter w;
+  obs::append_counter_fields(w, s);
+  EXPECT_NE(w.str().find("\"prov_store_saturated\":" +
+                         std::to_string(engine.store().saturated_ops())),
+            std::string::npos);
+}
+
 TEST(ObsDeterminism, TwoIdenticalReplaysProduceIdenticalCounters) {
   farm::Farm f;
   farm::JobSpec spec;
@@ -228,17 +246,15 @@ TEST(ObsDeterminism, TwoIdenticalReplaysProduceIdenticalCounters) {
   ASSERT_EQ(r2.status, farm::JobStatus::kOk) << r2.error;
   ASSERT_TRUE(r1.metrics.collected);
   ASSERT_TRUE(r2.metrics.collected);
-  // Only the deterministic prefix is pinned: the tail counts scheduling
-  // artifacts (ring producer stalls / consumer waits / depth) that two
-  // async replays legitimately disagree on.
-  for (u32 i = 0; i < obs::kFirstNondetCtr; ++i) {
+  for (u32 i = 0; i < obs::kCtrCount; ++i) {
     EXPECT_EQ(r1.metrics.counters[i], r2.metrics.counters[i])
         << obs::ctr_name(static_cast<Ctr>(i));
   }
   EXPECT_GT(r1.metrics[Ctr::kInsnsRetired], 0u);
-  // The async pipeline ran: the trace ring carried records (elided blocks
-  // compress to one bulk record each, so no fixed relation to insns).
-  EXPECT_GT(r1.metrics[Ctr::kRingRecords], 0u);
+  // One execution per job: a single snapshot clone, and nothing saturated.
+  EXPECT_EQ(r1.metrics[Ctr::kSnapClone], 1u);
+  EXPECT_EQ(r1.metrics[Ctr::kProvStoreSaturated], 0u);
+  EXPECT_EQ(r1.metrics[Ctr::kNetflowTagOverflow], 0u);
 }
 
 }  // namespace

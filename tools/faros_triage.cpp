@@ -11,9 +11,9 @@
 //   faros_triage --list                  # print the catalogue and exit
 //   faros_triage --policies my.json      # replace the built-in ruleset
 //   faros_triage --policies a.json,b.json
-//                                        # record once, analyze under every
-//                                        # set (policy_runs JSONL field)
-//   faros_triage --sync-dift             # historical inline engine (A/B)
+//                                        # analyze live under a.json, then
+//                                        # replay the recording under b.json
+//                                        # (policy_runs JSONL field)
 //   faros_triage --list-policies         # print the effective ruleset JSON
 //   faros_triage --graph-out graphs/     # one .fpg provenance graph per job
 //
