@@ -531,6 +531,58 @@ TEST(Farm, MultiPolicyFanOutMatchesSeparateRuns) {
             std::string::npos);
 }
 
+TEST(Farm, ColdBootReAnalysisMatchesSnapshotClones) {
+  // Re-analysis replays boot from the same machine config as the analyzed
+  // run. Without the shared snapshot every machine of the job boots cold;
+  // the job lines, policy runs included, must not change, and no clone is
+  // counted.
+  auto jobs = corpus_jobs(attacks::injection_corpus());
+  jobs.resize(3);
+  std::vector<core::RuleSpec> alt = core::builtin_rules(false, true, true);
+
+  auto fan_out = [&](bool snapshot) {
+    FarmConfig cfg;
+    cfg.snapshot = snapshot;
+    cfg.extra_policies.push_back(farm::PolicySet{"alt", alt});
+    return Farm(cfg).run(jobs);
+  };
+  farm::TriageReport cold = fan_out(false);
+  farm::TriageReport cloned = fan_out(true);
+
+  ASSERT_EQ(cold.results.size(), 3u);
+  ASSERT_EQ(cloned.results.size(), 3u);
+  for (size_t i = 0; i < cold.results.size(); ++i) {
+    const JobResult& c = cold.results[i];
+    ASSERT_EQ(c.status, JobStatus::kOk) << c.name << ": " << c.error;
+    ASSERT_EQ(c.policy_runs.size(), 1u) << c.name;
+    EXPECT_EQ(farm::job_jsonl(c), farm::job_jsonl(cloned.results[i]))
+        << c.name;
+    EXPECT_EQ(c.metrics[obs::Ctr::kSnapClone], 0u) << c.name;
+    EXPECT_EQ(cloned.results[i].metrics[obs::Ctr::kSnapClone], 2u) << c.name;
+  }
+}
+
+TEST(TriageCli, RetiredDiftModeFlagsAreRejected) {
+  // The async DIFT pipeline and its trace ring are gone. Their flags must
+  // fail loudly, naming the option, rather than be silently accepted by a
+  // script written against the old surface.
+  using farm::parse_triage_cli;
+  const std::vector<std::vector<std::string>> retired = {
+      {"--async-dift"},
+      {"--no-async-dift"},
+      {"--sync-dift"},
+      {"--ring-capacity", "16"}};
+  for (const auto& argv : retired) {
+    farm::TriageCliResult r = parse_triage_cli(argv);
+    EXPECT_FALSE(r.ok()) << argv[0];
+    EXPECT_NE(r.error.find(argv[0]), std::string::npos) << r.error;
+  }
+  std::string usage = farm::triage_usage();
+  EXPECT_EQ(usage.find("async-dift"), std::string::npos);
+  EXPECT_EQ(usage.find("sync-dift"), std::string::npos);
+  EXPECT_EQ(usage.find("ring-capacity"), std::string::npos);
+}
+
 TEST(TriageCli, PairedFlagsParseAndRoundTrip) {
   using farm::parse_triage_cli;
   using farm::render_triage_cli;

@@ -1,9 +1,11 @@
 // src/vm/tracer.cpp: the execution tracer's deterministic-replay property
-// (two replays of one recording see byte-identical event streams) and
-// plugin chaining.
+// (two replays of one recording see byte-identical event streams), plugin
+// chaining, and the recording a live analyzed run leaves behind.
 #include <gtest/gtest.h>
 
 #include "attacks/scenarios.h"
+#include "core/engine.h"
+#include "os/machine.h"
 #include "vm/tracer.h"
 
 namespace faros {
@@ -86,6 +88,50 @@ TEST(TracerReplay, CapacityBoundsRingAndDumpDisassembles) {
   EXPECT_EQ(t.total(), 0u);
   EXPECT_EQ(t.blocks(), 0u);
   EXPECT_TRUE(t.entries().empty());
+}
+
+TEST(TracerReplay, LiveAnalyzedRunRecordingReplaysIdentically) {
+  // The farm analyzes a job on the live machine and keeps the recording
+  // for re-analysis. The engine riding along must not perturb the run:
+  // a bare replay of that recording sees the live run's stream, and a
+  // fresh engine on the replay reaches the live engine's state.
+  attacks::HollowingScenario sc;
+  os::Machine m;
+  core::FarosEngine live_engine(m.kernel(), {});
+  Tracer live;
+  live.chain(&live_engine);
+  m.attach_cpu_plugin(&live);
+  m.add_monitor(&live_engine);
+  ASSERT_TRUE(m.boot().ok());
+  auto source = sc.make_source();
+  if (source) m.set_event_source(source.get());
+  ASSERT_TRUE(sc.setup(m).ok());
+  os::RunStats live_stats = m.run(sc.budget());
+  ASSERT_TRUE(live_engine.flagged());
+
+  Tracer replayed;
+  auto r = attacks::replay_run(sc, m.recording(), &replayed, {});
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  EXPECT_EQ(r.value().stats.instructions, live_stats.instructions);
+  EXPECT_EQ(replayed.total(), live.total());
+  EXPECT_EQ(replayed.blocks(), live.blocks());
+  ASSERT_EQ(replayed.entries().size(), live.entries().size());
+  for (size_t i = 0; i < live.entries().size(); ++i) {
+    EXPECT_TRUE(same_entry(replayed.entries()[i], live.entries()[i]))
+        << "entry " << i;
+  }
+
+  os::Machine m2;
+  core::FarosEngine replay_engine(m2.kernel(), {});
+  m2.attach_cpu_plugin(&replay_engine);
+  m2.add_monitor(&replay_engine);
+  ASSERT_TRUE(m2.boot().ok());
+  ASSERT_TRUE(sc.setup(m2).ok());
+  m2.load_replay(m.recording());
+  EXPECT_EQ(m2.run(sc.budget()).instructions, live_stats.instructions);
+  EXPECT_EQ(replay_engine.flagged(), live_engine.flagged());
+  EXPECT_EQ(replay_engine.findings().size(), live_engine.findings().size());
+  EXPECT_EQ(replay_engine.store().size(), live_engine.store().size());
 }
 
 }  // namespace
