@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include <time.h>
+
 #include "attacks/scenarios.h"
 #include "common/json.h"
 
@@ -27,6 +29,21 @@ double time_s(Fn&& fn) {
   fn();
   auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// CPU seconds the calling thread spends in `fn()`. Unlike wall time it
+/// does not count the time the thread waits while other work on a shared
+/// host holds the core.
+template <typename Fn>
+double thread_cpu_s(Fn&& fn) {
+  auto now = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  double t0 = now();
+  fn();
+  return now() - t0;
 }
 
 /// Analyze a scenario and abort loudly on harness errors (a bench must not

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 
 #include "graph/graph.h"
@@ -89,6 +90,16 @@ JobResult::PolicyRun policy_run_of(const std::string& name,
   return pr;
 }
 
+/// A result carrying only the spec's identity, for the caller to fill in.
+JobResult result_for(const JobSpec& spec) {
+  JobResult r;
+  r.id = spec.id;
+  r.name = spec.name;
+  r.category = spec.category;
+  r.expect_flagged = spec.expect_flagged;
+  return r;
+}
+
 }  // namespace
 
 Farm::Farm(FarmConfig cfg) : cfg_(std::move(cfg)) {
@@ -119,11 +130,7 @@ Result<os::MachineConfig> Farm::machine_config() const {
 }
 
 JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
-  JobResult r;
-  r.id = spec.id;
-  r.name = spec.name;
-  r.category = spec.category;
-  r.expect_flagged = spec.expect_flagged;
+  JobResult r = result_for(spec);
 
   auto fail = [&](std::string msg) {
     r.status = JobStatus::kError;
@@ -165,16 +172,14 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
       cfg_.engine_opts.collect_metrics ? &timers : nullptr;
 
   // --- static analysis (zero-execution; never gates the dynamic run) ---
-  // One analyzer pass serves three consumers: the prefilter stamps the
-  // result fields, summary elision collects the per-image elide hints
-  // into this job's engine options, and static pruning intersects the
-  // per-image trigger masks. Extraction failure only surfaces as
-  // sa_error under the prefilter — with elision/pruning alone the job
-  // silently runs unhinted and unmasked, keeping the JSONL
-  // byte-identical to --no-summary-elide / no --static-prune.
+  // One analyzer pass serves two consumers: summary elision collects the
+  // per-image elide hints into this job's engine options, and the
+  // prefilter stamps the result fields. Extraction failure only surfaces
+  // as sa_error under the prefilter; otherwise the job silently runs
+  // unhinted, which changes no verdict (hints only decide which blocks
+  // may skip instrumentation).
   core::Options eopts = cfg_.engine_opts;
-  const bool want_hints = eopts.summary_elide;
-  if (cfg_.static_prefilter || want_hints || cfg_.static_prune) {
+  {
     obs::ScopedTimer t(tsink, obs::Tmr::kStatic);
     auto extracted = attacks::extract_images(*sc, mcfg);
     if (!extracted.ok()) {
@@ -195,26 +200,10 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
         r.sa_risk = rep.risk;
         r.sa_rules = std::move(rep.rules);
       }
-      if (want_hints) {
-        for (const sa::ImageReport& ir : rep.per_image) {
-          for (const sa::ElideHint& h : ir.elide_hints) {
-            eopts.elide_hints[h.va].emplace_back(h.insns, h.hash);
-          }
+      for (const sa::ImageReport& ir : rep.per_image) {
+        for (const sa::ElideHint& h : ir.elide_hints) {
+          eopts.elide_hints[h.va].emplace_back(h.insns, h.hash);
         }
-      }
-      if (cfg_.static_prune) {
-        // sa::TriggerMask bit -> core::Trigger bit (the sa encoding skips
-        // kTaintedFetch, which is never maskable).
-        u8 m = 0;
-        if (rep.trigger_mask & sa::kMaskTaintedLoad)
-          m |= 1u << static_cast<u32>(core::Trigger::kTaintedLoad);
-        if (rep.trigger_mask & sa::kMaskTaintedStore)
-          m |= 1u << static_cast<u32>(core::Trigger::kTaintedStore);
-        if (rep.trigger_mask & sa::kMaskExecPageWrite)
-          m |= 1u << static_cast<u32>(core::Trigger::kExecPageWrite);
-        if (rep.trigger_mask & sa::kMaskSyscallArg)
-          m |= 1u << static_cast<u32>(core::Trigger::kSyscallArg);
-        eopts.static_trigger_mask = m;
       }
     }
   }
@@ -348,9 +337,22 @@ JobResult Farm::run_once(const JobSpec& spec, u32 attempt) const {
   return r;
 }
 
+JobResult Farm::run_guarded(const JobSpec& spec, u32 attempt) const {
+  try {
+    return run_once(spec, attempt);
+  } catch (const std::exception& e) {
+    // A throwing scenario factory, setup or host allocation fails this
+    // attempt only; the worker thread lives on to take the next job.
+    JobResult r = result_for(spec);
+    r.status = JobStatus::kError;
+    r.error = std::string("exception: ") + e.what();
+    return r;
+  }
+}
+
 JobResult Farm::run_job(const JobSpec& spec) const {
   auto t0 = Clock::now();
-  JobResult r = run_once(spec, 0);
+  JobResult r = run_guarded(spec, 0);
   // One bounded retry per configured attempt, only for harness errors —
   // timeouts would time out again and cancellations must stay cancelled.
   //
@@ -366,7 +368,7 @@ JobResult Farm::run_job(const JobSpec& spec) const {
        attempt < cfg_.retries && r.status == JobStatus::kError &&
        !cancel_.load(std::memory_order_relaxed);
        ++attempt) {
-    r = run_once(spec, attempt + 1);
+    r = run_guarded(spec, attempt + 1);
     r.retries = attempt + 1;
   }
   r.wall_ms =
@@ -423,11 +425,7 @@ TriageReport Farm::run(std::vector<JobSpec> jobs) {
 
   // Jobs never dispatched (cancellation) still get a result each.
   for (auto& spec : queue_.drain()) {
-    JobResult r;
-    r.id = spec.id;
-    r.name = spec.name;
-    r.category = spec.category;
-    r.expect_flagged = spec.expect_flagged;
+    JobResult r = result_for(spec);
     r.status = JobStatus::kCancelled;
     deliver(std::move(r));
   }

@@ -56,13 +56,6 @@ struct FarmConfig {
   /// the static risk score / rule hits. Purely additive: dynamic verdicts
   /// are untouched.
   bool static_prefilter = false;
-  /// Policy-aware static pruning: intersect the per-image sa trigger
-  /// masks of each job and hand the result to the job's engine
-  /// (core::Options::static_trigger_mask), so rule triggers statically
-  /// proven unreachable skip their hot-path input computation. Detection
-  /// and the per-rule eval counters are bit-identical on vs off (the
-  /// prune-on/off CI gate pins this over the full corpus).
-  bool static_prune = false;
   /// When non-empty: write one provenance-graph artifact per completed job
   /// to `<graph_out>/<job name>.fpg` (src/graph binary format; job names
   /// are sanitized to filesystem-safe characters). The graph is built from
@@ -73,7 +66,7 @@ struct FarmConfig {
   /// Boot the guest once, freeze it, and run every job's machines as
   /// copy-on-write clones of the frozen image (os/snapshot.h).
   /// Purely a throughput lever: verdicts are byte-identical to cold-boot
-  /// (the CI snapshot-equivalence gate pins this over the full corpus).
+  /// (test_farm checks this against a cold-boot reference run).
   /// The snapshot is captured lazily on the first job and shared read-only
   /// across workers.
   bool snapshot = true;
@@ -142,6 +135,9 @@ class Farm {
   /// One attempt at a job (`attempt` is 0 for the first run, >0 for
   /// retries — used only by the deterministic failure-injection hook).
   JobResult run_once(const JobSpec& spec, u32 attempt) const;
+  /// run_once with any std::exception it throws boxed into a kError
+  /// result carrying the exception's message.
+  JobResult run_guarded(const JobSpec& spec, u32 attempt) const;
   /// Machine config for this run: cfg_.machine, plus the shared booted-
   /// guest snapshot when cloning is on (captured once, under snap_once_).
   Result<os::MachineConfig> machine_config() const;

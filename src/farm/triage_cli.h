@@ -1,10 +1,9 @@
 // faros_triage command-line surface, as a library.
 //
 // Lives in src/farm (not tools/) so tests can exercise the exact parser
-// the shipped binary uses: every boolean feature is a `--X` / `--no-X`
-// pair over an explicit flag table, and render_triage_cli() serialises a
-// parsed configuration back into canonical argv form — the round-trip
-// property (parse ∘ render ∘ parse = parse) is pinned by test_farm.
+// the shipped binary uses. The farm runs one detector configuration;
+// the only switches are the additive --static-prefilter report and
+// --quiet.
 #pragma once
 
 #include <string>
@@ -52,12 +51,6 @@ TriageCliResult parse_triage_cli(const std::vector<std::string>& args);
 
 /// Grouped usage text for --help.
 std::string triage_usage();
-
-/// Canonical argv form of `o`: every boolean feature appears as its
-/// explicit `--X`/`--no-X` spelling, value flags appear when set. Feeding
-/// the result back through parse_triage_cli() reproduces `o`'s
-/// farm-relevant configuration exactly.
-std::vector<std::string> render_triage_cli(const TriageCliOptions& o);
 
 /// Loads the files named by `policy_paths` into `o.farm`: the first file
 /// replaces engine_opts.rules, each further file appends a PolicySet named
