@@ -80,6 +80,11 @@ Result<AnalyzedRun> analyze(Scenario& sc, const core::Options& opts,
   out.engine_stats = engine.stats();
   out.prov_lists = engine.store().size();
   out.tainted_bytes = engine.shadow().tainted_bytes();
+  const core::RuleEngine& re = engine.rule_engine();
+  for (u32 k = 0; k < re.rule_count(); ++k) {
+    out.rules.push_back({re.rule_id(k), re.rule_stats(k).evals,
+                         re.rule_stats(k).hits});
+  }
   return out;
 }
 

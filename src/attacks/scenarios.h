@@ -65,6 +65,12 @@ struct AnalyzedRun {
   core::EngineStats engine_stats;
   size_t prov_lists = 0;                     // distinct provenance lists
   u64 tainted_bytes = 0;                     // shadow residency at end
+  struct RuleCount {
+    std::string id;
+    u64 evals = 0;
+    u64 hits = 0;
+  };
+  std::vector<RuleCount> rules;              // in engine rule order
 };
 
 Result<AnalyzedRun> analyze(Scenario& sc, const core::Options& opts = {},
